@@ -5,7 +5,8 @@ table), constants (local constants for a shape/order), matrix (one matrix
 count), verify (dual-route suites).  Output is CSV or JSON with a fixed
 column order and floats printed to 10 significant digits, so identical
 invocations are byte-identical.  Exit codes: 0 success, 1 verification
-mismatch, 2 usage error.
+mismatch or disagreeing computation routes, 2 usage error (including an
+output path that cannot be written).
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import curves, localfactors, matrixcounts, quadforms
-from .arith import is_prime, primes_up_to
+from .arith import is_prime, primes_up_to, valuation
+from .errors import ConsistencyError
 
 USAGE_ERROR = 2
 
@@ -77,8 +79,11 @@ def _emit(config: RunConfig, columns: list[str], rows: list[list],
             writer.writerow(row)
         text = buf.getvalue()
     if config.output_path:
-        with open(config.output_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.output_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # reported as a usage error, like a bad argument
+            raise ValueError(f"cannot write {config.output_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -137,8 +142,11 @@ def cmd_mn(config: RunConfig, n: int, x: int | None) -> int:
     shapes = curves.order_decomposition(n)
     terms = [(m, k, curves.m_of_group(m, k)) for m, k in shapes]
     total = sum((t for _, _, t in terms), Fraction(0))
-    check = curves.m_of_order(n)  # raises if the two routes disagree
-    assert check == total
+    by_primes = curves.m_of_order_by_primes(n)
+    if by_primes != total:
+        raise ConsistencyError(
+            f"M({n}) routes disagree: {by_primes} by primes, {total} by shapes"
+        )
     x_eff = x if x is not None else math.isqrt(n)
     truncated = sum((t for m, _, t in terms if m <= x_eff), Fraction(0))
     table = localfactors.k_of_order(n, config.cutoff)
@@ -217,11 +225,7 @@ def cmd_constants(config: RunConfig, m: int, k: int, n: int | None) -> int:
 
 
 def cmd_matrix(config: RunConfig, n: int, tor: int, ell: int, e: int) -> int:
-    v = 0
-    nn = n
-    while nn % ell == 0:
-        nn //= ell
-        v += 1
+    v = valuation(ell, n)
     q = matrixcounts.MatrixCountQuery(n, tor, ell, e)
     closed = str(matrixcounts.count_c_closed(q)) if e > v else ""
     size = ell ** (4 * e)
@@ -274,11 +278,7 @@ def _suite_matrix(lmax: int, emax: int, nmax: int) -> list[list]:
                 ]
             )
             for n in range(1, nmax + 1):
-                v = 0
-                t = n
-                while t % ell == 0:
-                    t //= ell
-                    v += 1
+                v = valuation(ell, n)
                 if e <= v:
                     continue
                 for uu in range(0, v // 2 + 1):
@@ -297,12 +297,7 @@ def _suite_matrix(lmax: int, emax: int, nmax: int) -> list[list]:
         e = 1
         while ell**e <= 27:
             for m_det in range(1, 17):
-                v = 0
-                t = m_det
-                while t % ell == 0:
-                    t //= ell
-                    v += 1
-                if v > e:
+                if valuation(ell, m_det) > e:
                     continue
                 brute = matrixcounts.det_count_brute(m_det, ell, e)
                 closed = matrixcounts.det_count_closed(m_det, ell, e)
@@ -475,6 +470,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validate(args) -> str | None:
     if args.cutoff < 100:
         return "cutoff must be >= 100"
+    for path in (args.out, args.class_cache):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            return f"directory of {path} does not exist"
     if args.threads < 1:
         return "threads must be >= 1"
     if args.command == "mg" and (args.m < 1 or args.k < 1):
@@ -545,6 +543,9 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
+    except ConsistencyError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
 
     if args.class_cache:
         quadforms.save_class_cache(args.class_cache)

@@ -115,15 +115,21 @@ def m_p_of_order(n: int, nt: int, p: int) -> Fraction:
     return kronecker_class_number(d // (nt * nt))
 
 
-def m_of_order_routes(n: int, bound: int = ORDER_BOUND) -> tuple[Fraction, Fraction]:
-    """M(n) two ways: summed over window primes, and over group shapes."""
+def m_of_order_by_primes(n: int, bound: int = ORDER_BOUND) -> Fraction:
+    """M(n) summed over the window primes of n."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if n > bound:
         raise OverflowError(f"order {n} exceeds the configured bound {bound}")
-    by_primes = Fraction(0)
+    total = Fraction(0)
     for p in hasse_window(n).primes:
-        by_primes += kronecker_class_number((p - 1 - n) ** 2 - 4 * n)
+        total += kronecker_class_number((p - 1 - n) ** 2 - 4 * n)
+    return total
+
+
+def m_of_order_routes(n: int, bound: int = ORDER_BOUND) -> tuple[Fraction, Fraction]:
+    """M(n) two ways: summed over window primes, and over group shapes."""
+    by_primes = m_of_order_by_primes(n, bound)
     by_shapes = Fraction(0)
     for m, _ in order_decomposition(n, bound):
         by_shapes += m_of_group(m, n // (m * m), bound)

@@ -7,6 +7,14 @@ l not dividing m.  The order-only constant replaces the last two by
 1 - 1/(l^v (l-1)) with v the l-adic valuation.  Truncated products carry a
 rigorous tail bound.
 
+At a prime l dividing neither N nor N-1 the generic factor is
+l(l-2)/(l-1)^2 whatever N is, so the truncated product reads those factors
+from one float table per cutoff and evaluates exact factors only at the
+primes dividing N(N-1) (every prime when N = 1).  The floats are multiplied
+in ascending order of l, each the correctly rounded value of its exact
+factor, so the product is the same float as the exact factors rounded and
+multiplied one by one.
+
 T(n), P(l) and the 2-adic quantities J_r(v), script J are the local sums
 the main-term analysis rests on; each has an enumeration route (the
 definition) and a closed form, and the pair is kept side by side.
@@ -14,8 +22,11 @@ definition) and a closed form, and the pair is kept side by side.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import euler_phi, factorize, kronecker, primes_up_to, valuation
@@ -31,13 +42,21 @@ _TAIL_LOG_CONSTANT = 4.0
 
 @dataclass
 class LocalFactorTable:
-    """Exact per-prime factors plus the truncated float product."""
+    """The truncated float product, its tail bound, and exact factors on demand."""
 
     context: dict
-    factors: list[tuple[int, Fraction]]
+    primes: tuple[int, ...]
     truncated_value: float
     cutoff: int
     tail_bound: float
+    rule: Callable[[int], Fraction] = field(repr=False, compare=False)
+
+    def factor_at(self, ell: int) -> Fraction:
+        """Exact factor at a prime ell of the product."""
+        i = bisect_left(self.primes, ell)
+        if i == len(self.primes) or self.primes[i] != ell:
+            raise ValueError(f"{ell} is not a prime of this product")
+        return self.rule(ell)
 
 
 def aut_order(m: int, k: int) -> int:
@@ -80,36 +99,62 @@ def order_factor(n: int, ell: int) -> Fraction:
     return generic_factor(n, ell)
 
 
-def _assemble(factor_at, dividing: list[int], cutoff: int, context: dict) -> LocalFactorTable:
+@functools.lru_cache(maxsize=16)
+def _generic_floats(cutoff: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Primes up to cutoff and the float of l(l-2)/(l-1)^2 at each.
+
+    int / int division is correctly rounded, and the fraction is in lowest
+    terms, so each float equals that of the exact generic factor.
+    """
+    primes = tuple(primes_up_to(cutoff))
+    return primes, tuple(ell * (ell - 2) / (ell - 1) ** 2 for ell in primes)
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_floats(cutoff: int) -> tuple[float, ...]:
+    """Float of every factor at N = 1: N - 1 = 0, so each prime takes
+    1 - 1/((l-1)^2 (l+1)) = (D-1)/D, under both the shape and order rules."""
+    primes, _ = _generic_floats(cutoff)
+    return tuple((d - 1) / d for d in ((ell - 1) ** 2 * (ell + 1) for ell in primes))
+
+
+def _assemble(factor_at, n: int, cutoff: int, context: dict) -> LocalFactorTable:
     if cutoff < 100:
         raise ValueError(f"cutoff must be >= 100, got {cutoff}")
-    seen = set(dividing)
-    ells = sorted(seen | set(primes_up_to(cutoff)))
-    factors = [(ell, factor_at(ell)) for ell in ells]
-    value = 1.0
-    for _, f in factors:
-        value *= f.numerator / f.denominator
+    primes, generic = _generic_floats(cutoff)
+    above: tuple[int, ...] = ()
+    if n == 1:
+        floats = _unit_floats(cutoff)
+    else:
+        dividing = [ell for ell, _ in factorize(n).factors]
+        above = tuple(ell for ell in dividing if ell > cutoff)
+        special = dividing + [ell for ell, _ in factorize(n - 1).factors]
+        floats = list(generic)
+        for ell in special:
+            if ell <= cutoff:
+                f = factor_at(ell)
+                floats[bisect_left(primes, ell)] = f.numerator / f.denominator
+        for ell in above:
+            f = factor_at(ell)
+            floats.append(f.numerator / f.denominator)
+    value = math.prod(floats, start=1.0)  # left to right, one rounding per factor
     tail = abs(value) * (math.exp(_TAIL_LOG_CONSTANT / cutoff) - 1.0)
-    return LocalFactorTable(context, factors, value, cutoff, tail)
+    return LocalFactorTable(context, primes + above, value, cutoff, tail, factor_at)
 
 
 def k_of_group(m: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> LocalFactorTable:
-    """Truncated shape constant with exact factors and a tail bound."""
+    """Truncated shape constant with exact factors on demand and a tail bound."""
     if m < 1 or k < 1:
         raise ValueError(f"invalid shape ({m}, {k})")
     n = m * m * k
-    dividing = [ell for ell, _ in factorize(n).factors]
-    return _assemble(
-        lambda ell: group_factor(m, k, ell), dividing, cutoff, {"m": m, "k": k, "n": n}
-    )
+    return _assemble(lambda ell: group_factor(m, k, ell), n, cutoff, {"m": m, "k": k, "n": n})
 
 
 def k_of_order(n: int, cutoff: int = DEFAULT_CUTOFF) -> LocalFactorTable:
-    """Truncated order constant with exact factors and a tail bound."""
+    """Truncated order constant with exact factors on demand and a tail bound."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    dividing = [ell for ell, _ in factorize(n).factors]
-    return _assemble(lambda ell: order_factor(n, ell), dividing, cutoff, {"n": n})
+    return _assemble(lambda ell: order_factor(n, ell), n, cutoff, {"n": n})
 
 
 def conjectural_main_term(m: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> tuple[float, float]:

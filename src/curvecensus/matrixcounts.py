@@ -149,7 +149,10 @@ def det_count_closed(m_det: int, ell: int, e: int) -> int:
     val = Fraction(ell) ** (2 * (r - 1)) * (
         ell ** (3 * s) * (ell + 1) * (ell ** (r + 1) - 1) + (1 if s == 0 else 0)
     )
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise ConsistencyError(
+            f"determinant count for M={m_det}, l={ell}, e={e} is not integral: {val}"
+        )
     return val.numerator
 
 

@@ -143,6 +143,31 @@ def test_out_file(capsys, tmp_path):
     assert path.read_text().startswith("m,k,n,m_of_group")
 
 
+def test_out_into_missing_directory(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    code = cli.main(["--out", str(path), "mg", "--m", "1", "--k", "2", "--cutoff", "1000"])
+    err = capsys.readouterr().err
+    assert code == cli.USAGE_ERROR
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not path.exists()
+    # an existing directory that cannot be opened as a file fails at write time
+    code = cli.main(["--out", str(tmp_path), "mg", "--m", "1", "--k", "2", "--cutoff", "1000"])
+    err = capsys.readouterr().err
+    assert code == cli.USAGE_ERROR
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+def test_mn_route_disagreement_exits_1(capsys, monkeypatch):
+    real = curves.m_of_order_by_primes
+    monkeypatch.setattr(curves, "m_of_order_by_primes", lambda n: real(n) + 1)
+    code = cli.main(["mn", "--n", "6", "--cutoff", "1000"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: M(6) routes disagree") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_class_cache_flag(capsys, tmp_path):
     path = tmp_path / "cache.csv"
     code, _ = run_cli(capsys, ["--class-cache", str(path), "mn", "--n", "6", "--cutoff", "1000"])

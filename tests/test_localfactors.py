@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from curvecensus import localfactors as lf
+from curvecensus.arith import factorize, primes_up_to
 
 
 def test_aut_order_examples():
@@ -42,13 +43,46 @@ def test_order_factor_branches():
 def test_truncated_tables():
     t = lf.k_of_group(1, 1, cutoff=1000)
     assert t.cutoff == 1000
-    assert all(f > 0 for _, f in t.factors)
-    assert [ell for ell, _ in t.factors] == sorted(ell for ell, _ in t.factors)
+    assert all(t.factor_at(ell) > 0 for ell in t.primes)
+    assert list(t.primes) == sorted(t.primes)
     assert 0 < t.truncated_value < 3
     t4 = lf.k_of_order(4, cutoff=1000)
-    assert dict(t4.factors)[2] == Fraction(3, 4)
+    assert t4.factor_at(2) == Fraction(3, 4)
     with pytest.raises(ValueError):
         lf.k_of_group(1, 1, cutoff=99)
+    with pytest.raises(ValueError):
+        t4.factor_at(4)  # not a prime of the product
+    # a prime of N above the cutoff is part of the product
+    assert lf.k_of_group(3, 2003, cutoff=1000).primes[-1] == 2003
+    assert 1009 not in lf.k_of_order(1010, cutoff=1000).primes  # 1009 | N - 1 only
+
+
+def _eager_product(factor_at, n, cutoff):
+    """The truncated product the slow way: one exact factor per prime, in order."""
+    ells = sorted({ell for ell, _ in factorize(n).factors} | set(primes_up_to(cutoff)))
+    value = 1.0
+    for ell in ells:
+        f = factor_at(ell)
+        value *= f.numerator / f.denominator
+    return value, tuple(ells)
+
+
+@pytest.mark.parametrize(
+    "m, k", [(1, 1), (1, 2), (2, 1), (1, 1009), (3, 2003), (1, 2310 + 1), (2, 7), (6, 35)]
+)
+def test_shape_product_bit_identical_to_eager_route(m, k):
+    t = lf.k_of_group(m, k, cutoff=1000)
+    value, ells = _eager_product(lambda ell: lf.group_factor(m, k, ell), m * m * k, 1000)
+    assert t.truncated_value == value
+    assert t.primes == ells
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 1009, 2 * 2003, 2 * 3 * 5 * 7 * 11 + 1, 720, 10**9 + 7])
+def test_order_product_bit_identical_to_eager_route(n):
+    t = lf.k_of_order(n, cutoff=1000)
+    value, ells = _eager_product(lambda ell: lf.order_factor(n, ell), n, 1000)
+    assert t.truncated_value == value
+    assert t.primes == ells
 
 
 def test_tail_bound_brackets_refinement():
