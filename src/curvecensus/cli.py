@@ -4,9 +4,12 @@ Subcommands: mg (count by group shape), mn (count by order), grid (shape
 table), constants (local constants for a shape/order), matrix (one matrix
 count), verify (dual-route suites).  Output is CSV or JSON with a fixed
 column order and floats printed to 10 significant digits, so identical
-invocations are byte-identical.  Exit codes: 0 success, 1 verification
-mismatch or disagreeing computation routes, 2 usage error (including an
-output path that cannot be written).
+invocations are byte-identical.  Everything runs on one thread; --threads
+is accepted, validated and echoed in the JSON config for compatibility, and
+changes neither the work nor the output.  Exit codes: 0 success, 1
+verification mismatch or disagreeing computation routes, 2 usage error
+(including an output path that cannot be written or a class-number table
+above its cap).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,7 +39,6 @@ class RunConfig:
     cutoff: int = localfactors.DEFAULT_CUTOFF
     output_path: str | None = None
     threads: int = 1
-    seed: int = 0
 
 
 def _fmt_float(x: float) -> str:
@@ -60,7 +61,6 @@ def _emit(config: RunConfig, columns: list[str], rows: list[list],
             "format": config.format,
             "cutoff": config.cutoff,
             "threads": config.threads,
-            "seed": config.seed,
             **config.parameters,
         }
         doc["columns"] = columns
@@ -88,15 +88,23 @@ def _emit(config: RunConfig, columns: list[str], rows: list[list],
         sys.stdout.write(text)
 
 
-def _parallel(items, worker, threads: int) -> list:
-    """Map worker over items, any scheduling, results in item order."""
-    if threads <= 1:
-        return [worker(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, items))
-
-
 # --- subcommands ------------------------------------------------------------
+
+
+def _main_term_cells(m: int, k: int, total: Fraction, cutoff: int):
+    """#Aut, the K(m, k) table, and the main-term and ratio cells of a shape.
+
+    Both cells are empty for the trivial group (log 1 = 0).  The float
+    expression fixes the printed digits: conjectural_main_term groups it
+    differently and can differ in the last bit.
+    """
+    n = m * m * k
+    aut = localfactors.aut_order(m, k)
+    table = localfactors.k_of_group(m, k, cutoff)
+    if n < 2:
+        return aut, table, "", ""
+    main = table.truncated_value * n * n / (aut * math.log(n))
+    return aut, table, _fmt_float(main), _fmt_float(float(total) / main)
 
 
 def cmd_mg(config: RunConfig, m: int, k: int, per_prime: bool) -> int:
@@ -106,14 +114,7 @@ def cmd_mg(config: RunConfig, m: int, k: int, per_prime: bool) -> int:
         (p, curves.m_p_of_group(m, k, p)) for p in curves.window_primes_in_class(n, m)
     ]
     total = sum((t for _, t in terms), Fraction(0))
-    aut = localfactors.aut_order(m, k)
-    table = localfactors.k_of_group(m, k, config.cutoff)
-    if n >= 2:
-        main = table.truncated_value * n * n / (aut * math.log(n))
-        main_s = _fmt_float(main)
-        ratio_s = _fmt_float(float(total) / main)
-    else:
-        main_s = ratio_s = ""
+    aut, table, main_s, ratio_s = _main_term_cells(m, k, total, config.cutoff)
     summary = {
         "m": m,
         "k": k,
@@ -169,29 +170,18 @@ def cmd_mn(config: RunConfig, n: int, x: int | None) -> int:
 
 def cmd_grid(config: RunConfig, mmax: int, kmax: int) -> int:
     quadforms.precompute_class_numbers(max(4 * kmax + 4, 16))
-    shapes = [(m, k) for m in range(1, mmax + 1) for k in range(1, kmax + 1)]
-
-    def row(shape):
-        m, k = shape
-        n = m * m * k
-        total = curves.m_of_group(m, k)
-        aut = localfactors.aut_order(m, k)
-        table = localfactors.k_of_group(m, k, config.cutoff)
-        if n >= 2:
-            main = table.truncated_value * n * n / (aut * math.log(n))
-            main_s = _fmt_float(main)
-            ratio_s = _fmt_float(float(total) / main)
-        else:
-            main_s = ratio_s = ""
-        return [
-            m, k, n,
-            _fmt_frac(total), _fmt_float(float(total)),
-            aut,
-            _fmt_float(table.truncated_value),
-            main_s, ratio_s,
-        ]
-
-    rows = _parallel(shapes, row, config.threads)
+    rows = []
+    for m in range(1, mmax + 1):
+        for k in range(1, kmax + 1):
+            total = curves.m_of_group(m, k)
+            aut, table, main_s, ratio_s = _main_term_cells(m, k, total, config.cutoff)
+            rows.append([
+                m, k, m * m * k,
+                _fmt_frac(total), _fmt_float(float(total)),
+                aut,
+                _fmt_float(table.truncated_value),
+                main_s, ratio_s,
+            ])
     columns = [
         "m", "k", "n", "m_of_group", "m_of_group_decimal",
         "aut_order", "k_shape_truncated", "main_term", "ratio",
@@ -242,25 +232,19 @@ def cmd_matrix(config: RunConfig, n: int, tor: int, ell: int, e: int) -> int:
 # --- verify suites ----------------------------------------------------------
 
 
-def _suite_oracle(pmax: int, threads: int) -> list[list]:
+def _suite_oracle(pmax: int) -> list[list]:
     prime_list = [p for p in range(2, pmax + 1) if is_prime(p)]
     quadforms.precompute_class_numbers(max(16 * pmax, 64))
-
-    def one(p):
+    rows = []
+    for p in prime_list:
         tally = curves.brute_force_tally(p)
         shapes = sorted(set(tally.entries) | set(curves.admissible_shapes(p)))
-        out = []
         for s in shapes:
             lhs = tally.entries.get(s, Fraction(0))
             rhs = curves.m_p_of_group(s.m, s.k, p)
-            out.append(
+            rows.append(
                 [f"p={p} m={s.m} k={s.k}", _fmt_frac(lhs), _fmt_frac(rhs), lhs == rhs]
             )
-        return out
-
-    rows = []
-    for chunk in _parallel(prime_list, one, threads):
-        rows.extend(chunk)
     return rows
 
 
@@ -268,7 +252,7 @@ def _suite_matrix(lmax: int, emax: int, nmax: int) -> list[list]:
     rows = []
     for ell in primes_up_to(lmax):
         for e in range(1, emax + 1):
-            fibers = matrixcounts.count_c_fibers(ell, e)
+            fibers = matrixcounts.count_c_fibers(ell, e, 0)
             rows.append(
                 [
                     f"fiber-partition l={ell} e={e}",
@@ -366,24 +350,18 @@ def _suite_constants(nmax: int, mmax: int, kmax: int, lmax: int) -> list[list]:
     return rows
 
 
-def _suite_identity(nmax: int, threads: int) -> list[list]:
+def _suite_identity(nmax: int) -> list[list]:
     quadforms.precompute_class_numbers(4 * nmax + 16)
-
-    def one(n):
+    rows = []
+    for n in range(1, nmax + 1):
         by_primes, by_shapes = curves.m_of_order_routes(n)
-        return [
-            f"n={n}",
-            _fmt_frac(by_primes),
-            _fmt_frac(by_shapes),
-            by_primes == by_shapes,
-        ]
-
-    return _parallel(range(1, nmax + 1), one, threads)
+        rows.append([f"n={n}", _fmt_frac(by_primes), _fmt_frac(by_shapes), by_primes == by_shapes])
+    return rows
 
 
 def cmd_verify(config: RunConfig, suite: str, args) -> int:
     if suite == "oracle":
-        rows = _suite_oracle(args.pmax, config.threads)
+        rows = _suite_oracle(args.pmax)
     elif suite == "matrix":
         rows = _suite_matrix(args.lmax, args.emax, args.nmax)
     elif suite == "local":
@@ -391,7 +369,7 @@ def cmd_verify(config: RunConfig, suite: str, args) -> int:
     elif suite == "constants":
         rows = _suite_constants(args.nmax, args.mmax, args.kmax, args.lmax)
     else:
-        rows = _suite_identity(args.nmax, config.threads)
+        rows = _suite_identity(args.nmax)
     mismatches = sum(1 for r in rows if not r[3])
     _emit(config, ["check", "lhs", "rhs", "equal"], rows, suite=suite, mismatches=mismatches)
     return 1 if mismatches else 0
@@ -414,8 +392,8 @@ def _common_flags(top_level: bool) -> argparse.ArgumentParser:
                    default=localfactors.DEFAULT_CUTOFF if top_level else miss,
                    help="Euler product truncation (default 100000)")
     p.add_argument("--out", metavar="PATH", default=None if top_level else miss)
-    p.add_argument("--threads", type=int, default=1 if top_level else miss)
-    p.add_argument("--seed", type=int, default=0 if top_level else miss)
+    p.add_argument("--threads", type=int, default=1 if top_level else miss,
+                   help="accepted for compatibility; has no effect on the work or the output")
     p.add_argument("--class-cache", metavar="PATH",
                    default=None if top_level else miss,
                    help="CSV cache of class data, loaded if present and rewritten on exit")
@@ -514,14 +492,13 @@ def main(argv=None) -> int:
         parameters={
             key: val
             for key, val in vars(args).items()
-            if key not in {"format", "cutoff", "out", "threads", "seed", "command", "class_cache"}
+            if key not in {"format", "cutoff", "out", "threads", "command", "class_cache"}
             and val is not None
         },
         format=args.format,
         cutoff=args.cutoff,
         output_path=args.out,
         threads=args.threads,
-        seed=args.seed,
     )
 
     if args.class_cache and os.path.exists(args.class_cache):

@@ -131,12 +131,12 @@ def m_of_order_routes(n: int, bound: int = ORDER_BOUND) -> tuple[Fraction, Fract
     """M(n) two ways: summed over window primes, and over group shapes."""
     by_primes = m_of_order_by_primes(n, bound)
     by_shapes = Fraction(0)
-    for m, _ in order_decomposition(n, bound):
+    for m, _ in order_decomposition(n):
         by_shapes += m_of_group(m, n // (m * m), bound)
     return by_primes, by_shapes
 
 
-def order_decomposition(n: int, bound: int = ORDER_BOUND) -> list[tuple[int, int]]:
+def order_decomposition(n: int) -> list[tuple[int, int]]:
     """All shapes (m, k) with m^2 k = n, ascending in m."""
     return [(m, n // (m * m)) for m in square_divisors(n)]
 

@@ -11,6 +11,7 @@ shape constant times #G/#Aut.  Brute-force scans back every closed form.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,58 +61,46 @@ def count_c_level_one(n: int, ell: int) -> int:
 
 
 def count_c_brute(q: MatrixCountQuery) -> int:
-    """Fiber count by full enumeration (vectorized over the last two entries)."""
+    """Fiber count by full enumeration: one entry of the memoized fiber scan."""
     mod = q.ell**q.e
     u = valuation(q.ell, q.n_torsion)
     if u >= q.e:
         # sigma = I is the only candidate; det + 1 - tr = 0 there
         return 1 if q.n_order % mod == 0 else 0
-    step = q.ell**u
-    size = mod // step
-    if size**4 > BRUTE_BUDGET:
-        raise ValueError(f"enumeration budget exceeded: {size}^4 > {BRUTE_BUDGET}")
-    # entries: diagonal 1 + step*t, off-diagonal step*t, t mod size
-    diag = (1 + step * np.arange(size, dtype=np.int64)) % mod
-    off = (step * np.arange(size, dtype=np.int64)) % mod
-    target = q.n_order % mod
-    b_grid, c_grid = np.meshgrid(off, off, indexing="ij")
-    b_flat = b_grid.ravel()
-    c_flat = c_grid.ravel()
-    bc = b_flat * c_flat % mod
-    total = 0
-    for a in diag:
-        for d in diag:
-            det = (a * d - bc) % mod
-            ok = (det % q.ell != 0) & ((det + 1 - a - d - target) % mod == 0)
-            total += int(np.count_nonzero(ok))
-    return total
+    return int(count_c_fibers(q.ell, q.e, u)[q.n_order % mod])
 
 
-def count_c_fibers(ell: int, e: int, u: int = 0) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def count_c_fibers(ell: int, e: int, u: int) -> np.ndarray:
     """All fiber counts at once: index t gives #{sigma : det+1-tr = t mod l^e}.
 
-    Same enumeration as count_c_brute restricted to sigma = I mod l^u; one
-    pass over the grid, used for partition checks and grid verification.
+    Counts sigma = I mod l^u exhaustively, using no closed form: the
+    products bc mod l^e are histogrammed once over the (b, c) grid, and for
+    each product r the (a, d) grid is binned by det + 1 - tr where
+    det = ad - r is a unit.  Memoized per (l, e, u); the array is read-only.
     """
     mod = ell**e
-    if u >= e:
-        out = np.zeros(mod, dtype=np.int64)
-        out[0] = 1
-        return out
-    step = ell**u
-    size = mod // step
-    if size**4 > BRUTE_BUDGET:
-        raise ValueError(f"enumeration budget exceeded: {size}^4 > {BRUTE_BUDGET}")
-    diag = (1 + step * np.arange(size, dtype=np.int64)) % mod
-    off = (step * np.arange(size, dtype=np.int64)) % mod
-    b_grid, c_grid = np.meshgrid(off, off, indexing="ij")
-    bc = (b_grid.ravel() * c_grid.ravel()) % mod
+    if mod > BRUTE_BUDGET:
+        raise ValueError(f"fiber array too long: {ell}^{e} > {BRUTE_BUDGET}")
     out = np.zeros(mod, dtype=np.int64)
-    for a in diag:
-        for d in diag:
-            det = (a * d - bc) % mod
-            vals = (det + 1 - a - d) % mod
-            out += np.bincount(vals[det % ell != 0], minlength=mod)
+    if u >= e:
+        out[0] = 1
+    else:
+        step = ell**u
+        size = mod // step
+        if size**4 > BRUTE_BUDGET:
+            raise ValueError(f"enumeration budget exceeded: {size}^4 > {BRUTE_BUDGET}")
+        # entries: diagonal 1 + step*t, off-diagonal step*t, t mod size
+        off = step * np.arange(size, dtype=np.int64)
+        a, d = np.meshgrid((1 + off) % mod, (1 + off) % mod, indexing="ij")
+        ad = (a * d % mod).ravel()
+        one_minus_tr = (1 - a - d).ravel()
+        bc_counts = np.bincount((np.outer(off, off) % mod).ravel(), minlength=mod)
+        for r in np.flatnonzero(bc_counts):
+            det = (ad - r) % mod
+            vals = (det + one_minus_tr)[det % ell != 0] % mod
+            out += bc_counts[r] * np.bincount(vals, minlength=mod)
+    out.flags.writeable = False
     return out
 
 
@@ -276,4 +265,4 @@ def verify_kg_interpretation(m: int, k: int, cutoff: int) -> list[dict]:
 
 def fiber_partition_holds(ell: int, e: int) -> bool:
     """Sum over all residues N of #C(N, 1; l^e) equals #GL2(Z/l^e)."""
-    return int(count_c_fibers(ell, e).sum()) == gl2_order(ell, e)
+    return int(count_c_fibers(ell, e, 0).sum()) == gl2_order(ell, e)

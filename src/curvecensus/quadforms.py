@@ -21,7 +21,6 @@ import csv
 import math
 import os
 import tempfile
-import threading
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -40,10 +39,12 @@ class LSeriesValue(NamedTuple):
     tail_bound: float
 
 
+# Entries _h_table may hold (512 MiB of int64); larger limits are refused.
+CLASS_TABLE_CAP = 2**26
+
 # Memoized class data.  _h_table[|d|] covers every discriminant up to the
 # precomputed limit in one array; _cache holds individually computed or
-# file-loaded entries.  Reads are lock-free; writes are serialized.
-_lock = threading.Lock()
+# file-loaded entries.  The package runs on one thread.
 _cache: dict[int, ClassData] = {}
 _h_table: np.ndarray | None = None
 _h_table_limit = 0
@@ -93,8 +94,7 @@ def class_data(d: int) -> ClassData:
         return hit
     h = sum(1 for a, b, c in reduced_forms(d) if math.gcd(math.gcd(a, b), c) == 1)
     out = ClassData(h, _unit_count(d))
-    with _lock:
-        _cache[d] = out
+    _cache[d] = out
     return out
 
 
@@ -103,10 +103,16 @@ def precompute_class_numbers(limit: int) -> None:
 
     Enumerates every reduced form with |disc| <= limit ordered by (a, b) and
     scatters counts of the primitive ones; O(limit^1.5) work, vectorized.
+    A limit whose table would exceed CLASS_TABLE_CAP entries raises
+    ValueError before anything is allocated.
     """
     global _h_table, _h_table_limit
     if limit <= _h_table_limit:
         return
+    if limit >= CLASS_TABLE_CAP:
+        raise ValueError(
+            f"class-number table for |d| <= {limit} exceeds {CLASS_TABLE_CAP} entries"
+        )
     table = np.zeros(limit + 1, dtype=np.int64)
     a = 1
     while 3 * a * a <= limit:
@@ -131,9 +137,8 @@ def precompute_class_numbers(limit: int) -> None:
                 weights[0] = 1
                 np.add.at(table, absd[primitive], weights[primitive])
         a += 1
-    with _lock:
-        _h_table = table
-        _h_table_limit = limit
+    _h_table = table
+    _h_table_limit = limit
 
 
 def kronecker_class_number(d: int) -> Fraction:
@@ -241,15 +246,13 @@ def load_class_cache(path: str) -> int:
             _require_discriminant(d)
             rows[d] = ClassData(int(row["h"]), int(row["w"]))
             count += 1
-    with _lock:
-        _cache.update(rows)
+    _cache.update(rows)
     return count
 
 
 def save_class_cache(path: str) -> int:
     """Atomically rewrite the cache CSV, sorted ascending by |discriminant|."""
-    with _lock:
-        items = sorted(_cache.items(), key=lambda kv: -kv[0])
+    items = sorted(_cache.items(), key=lambda kv: -kv[0])
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:

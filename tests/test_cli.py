@@ -53,6 +53,7 @@ def test_mn_table_and_summary(capsys):
     assert code == 0
     doc = json.loads(out)
     jsonschema.validate(doc, load_schema())
+    assert doc["config"] == {"format": "json", "cutoff": 1000, "threads": 1, "n": 4, "x": 1}
     assert doc["summary"]["m_of_order"] == "31/12"
     assert doc["summary"]["truncated_sum"] == "2/1"
     assert doc["summary"]["residual"] == "7/12"
@@ -132,7 +133,18 @@ def test_usage_errors(capsys):
     assert cli.main(["verify", "oracle", "--pmax", "100"]) == 2
     assert cli.main(["--cutoff", "10", "mg", "--m", "1", "--k", "1"]) == 2
     assert cli.main(["matrix", "--n", "4", "--l", "4", "--e", "1"]) == 2
+    assert cli.main(["--seed", "0", "mg", "--m", "1", "--k", "1"]) == 2
     capsys.readouterr()
+
+
+def test_class_table_cap_is_a_usage_error(capsys):
+    # tables of 4*10^14 and 4*10^13 entries: refused before any allocation
+    for args in (["mn", "--n", "100000000000000"], ["mg", "--m", "1", "--k", "10000000000000"]):
+        code = cli.main(args)
+        out, err = capsys.readouterr()
+        assert code == cli.USAGE_ERROR, args
+        assert out == ""
+        assert err.startswith("error: class-number table") and err.count("\n") == 1
 
 
 def test_out_file(capsys, tmp_path):

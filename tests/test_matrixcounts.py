@@ -58,18 +58,42 @@ def test_count_c_closed_examples():
 def test_count_c_brute_budget():
     with pytest.raises(ValueError):
         mc.count_c_brute(Q(1, 1, 101, 2))
+    with pytest.raises(ValueError):  # a 16^4 grid, but a 2^40-entry fiber array
+        mc.count_c_brute(Q(1, 2**36, 2, 40))
+
+
+def test_count_c_brute_reads_the_fiber_scan():
+    for ell in (2, 3):
+        for e in (1, 2, 3):
+            mod = ell**e
+            for u in range(e + 1):
+                fibers = mc.count_c_fibers(ell, e, u)
+                for n in range(1, mod + 1):
+                    assert mc.count_c_brute(Q(n, ell**u, ell, e)) == fibers[n % mod], (ell, e, u, n)
+
+
+def test_fiber_arrays_are_read_only():
+    fibers = mc.count_c_fibers(2, 2, 0)
+    with pytest.raises(ValueError):
+        fibers[0] = 0
+    assert mc.count_c_fibers(2, 2, 0)[0] == mc.count_c_brute(Q(4, 1, 2, 2))
 
 
 def test_counts_agree_on_grid():
+    mc.count_c_fibers.cache_clear()
+    grids = set()
     for ell in (2, 3):
-        for e in (1, 2, 3):
-            for n in range(1, 13):
+        for e in (1, 2, 3, 4):
+            for n in range(1, 37):
                 v = valuation(ell, n)
                 if e <= v:
                     continue
                 for u in range(v // 2 + 1):
                     q = Q(n, ell**u, ell, e)
                     assert mc.count_c_brute(q) == mc.count_c_closed(q), (ell, e, n, u)
+                    grids.add((ell, e, u))
+    # one fiber scan per (l, e, u), however many orders read it
+    assert mc.count_c_fibers.cache_info().misses == len(grids)
 
 
 def test_identity_congruence_levels():

@@ -174,7 +174,6 @@ def test_class_cache_round_trip(tmp_path, monkeypatch):
     assert discs == sorted(discs, key=lambda d: -d)
     assert [str(d0), str(expected.h), str(expected.w)] in rows[1:]
 
-    with quadforms._lock:
-        quadforms._cache.pop(d0, None)
+    quadforms._cache.pop(d0, None)
     assert quadforms.load_class_cache(str(path)) == len(rows) - 1
     assert class_data(d0) == expected
