@@ -21,11 +21,9 @@ from .arith import (
 from .curves import (
     CurveTally,
     GroupShape,
-    HasseWindow,
     brute_force_tally,
     delta_statistic,
     eta_statistic,
-    hasse_window,
     inclusion_exclusion_check,
     m_of_group,
     m_of_order,
@@ -64,7 +62,6 @@ from .quadforms import (
     kronecker_class_number_weighted,
     l_value_exact,
     l_value_series,
-    l_value_truncated,
     precompute_class_numbers,
 )
 

@@ -6,7 +6,8 @@ count), verify (dual-route suites).  Output is CSV or JSON with a fixed
 column order and floats printed to 10 significant digits, so identical
 invocations are byte-identical.  Everything runs on one thread; --threads
 is accepted, validated and echoed in the JSON config for compatibility, and
-changes neither the work nor the output.  Exit codes: 0 success, 1
+changes neither the work nor the output.  Class numbers are tabulated in
+memory for each run; nothing is cached on disk.  Exit codes: 0 success, 1
 verification mismatch or disagreeing computation routes, 2 usage error
 (including an output path that cannot be written or a class-number table
 above its cap).
@@ -218,8 +219,10 @@ def cmd_matrix(config: RunConfig, n: int, tor: int, ell: int, e: int) -> int:
     v = valuation(ell, n)
     q = matrixcounts.MatrixCountQuery(n, tor, ell, e)
     closed = str(matrixcounts.count_c_closed(q)) if e > v else ""
-    size = ell ** (4 * e)
-    brute = str(matrixcounts.count_c_brute(q)) if size <= matrixcounts.BRUTE_BUDGET else ""
+    try:
+        brute = str(matrixcounts.count_c_brute(q))
+    except ValueError:  # enumeration budget exceeded
+        brute = ""
     density = ""
     if n % (tor * tor) == 0:
         density = _fmt_frac(matrixcounts.euler_density(n, tor, ell))
@@ -394,9 +397,6 @@ def _common_flags(top_level: bool) -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", default=None if top_level else miss)
     p.add_argument("--threads", type=int, default=1 if top_level else miss,
                    help="accepted for compatibility; has no effect on the work or the output")
-    p.add_argument("--class-cache", metavar="PATH",
-                   default=None if top_level else miss,
-                   help="CSV cache of class data, loaded if present and rewritten on exit")
     return p
 
 
@@ -448,9 +448,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validate(args) -> str | None:
     if args.cutoff < 100:
         return "cutoff must be >= 100"
-    for path in (args.out, args.class_cache):
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            return f"directory of {path} does not exist"
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        return f"directory of {args.out} does not exist"
     if args.threads < 1:
         return "threads must be >= 1"
     if args.command == "mg" and (args.m < 1 or args.k < 1):
@@ -492,7 +491,7 @@ def main(argv=None) -> int:
         parameters={
             key: val
             for key, val in vars(args).items()
-            if key not in {"format", "cutoff", "out", "threads", "command", "class_cache"}
+            if key not in {"format", "cutoff", "out", "threads", "command"}
             and val is not None
         },
         format=args.format,
@@ -500,9 +499,6 @@ def main(argv=None) -> int:
         output_path=args.out,
         threads=args.threads,
     )
-
-    if args.class_cache and os.path.exists(args.class_cache):
-        quadforms.load_class_cache(args.class_cache)
 
     try:
         if args.command == "mg":
@@ -523,9 +519,6 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-
-    if args.class_cache:
-        quadforms.save_class_cache(args.class_cache)
     return code
 
 

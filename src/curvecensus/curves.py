@@ -38,11 +38,6 @@ class GroupShape(NamedTuple):
         return self.m * self.m * self.k
 
 
-class HasseWindow(NamedTuple):
-    n: int
-    primes: tuple[int, ...]
-
-
 @dataclass
 class CurveTally:
     """Oracle output for one prime: weighted counts per group shape."""
@@ -55,18 +50,6 @@ class CurveTally:
 def in_hasse_window(n: int, p: int) -> bool:
     """Integer test (p - 1 - n)^2 < 4n; no floating point at the boundary."""
     return (p - 1 - n) ** 2 < 4 * n
-
-
-def hasse_window(n: int) -> HasseWindow:
-    """All primes p with (p - 1 - n)^2 < 4n, ascending."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    lo = max(2, n + 1 - 2 * math.isqrt(n) - 1)
-    hi = n + 2 + 2 * math.isqrt(n) + 1
-    primes = tuple(
-        p for p in range(lo, hi) if in_hasse_window(n, p) and is_prime(p)
-    )
-    return HasseWindow(n, primes)
 
 
 def trace_discriminant(m: int, k: int, p: int) -> int:
@@ -87,11 +70,11 @@ def m_p_of_group(m: int, k: int, p: int) -> Fraction:
     return kronecker_class_number_restricted(trace_discriminant(m, k, p), k)
 
 
-def m_of_group(m: int, k: int, bound: int = ORDER_BOUND) -> Fraction:
+def m_of_group(m: int, k: int) -> Fraction:
     """Weighted count over all primes: sum of m_p_of_group over the window."""
     n = m * m * k
-    if n > bound:
-        raise OverflowError(f"group order {n} exceeds the configured bound {bound}")
+    if n > ORDER_BOUND:
+        raise OverflowError(f"group order {n} exceeds the bound {ORDER_BOUND}")
     total = Fraction(0)
     for p in window_primes_in_class(n, m):
         total += kronecker_class_number_restricted(trace_discriminant(m, k, p), k)
@@ -99,7 +82,7 @@ def m_of_group(m: int, k: int, bound: int = ORDER_BOUND) -> Fraction:
 
 
 def window_primes_in_class(n: int, m: int) -> list[int]:
-    """Window primes of n that are 1 mod m (the only ones carrying (m, .))."""
+    """Window primes of n that are 1 mod m, ascending; m = 1 gives them all."""
     lo = n - 2 * math.isqrt(n) - 1  # strictly below every window integer
     hi = n + 2 + 2 * math.isqrt(n) + 1
     return [p for p in primes_in_ap(lo, hi, m, 1) if in_hasse_window(n, p)]
@@ -115,24 +98,24 @@ def m_p_of_order(n: int, nt: int, p: int) -> Fraction:
     return kronecker_class_number(d // (nt * nt))
 
 
-def m_of_order_by_primes(n: int, bound: int = ORDER_BOUND) -> Fraction:
+def m_of_order_by_primes(n: int) -> Fraction:
     """M(n) summed over the window primes of n."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if n > bound:
-        raise OverflowError(f"order {n} exceeds the configured bound {bound}")
+    if n > ORDER_BOUND:
+        raise OverflowError(f"order {n} exceeds the bound {ORDER_BOUND}")
     total = Fraction(0)
-    for p in hasse_window(n).primes:
+    for p in window_primes_in_class(n, 1):
         total += kronecker_class_number((p - 1 - n) ** 2 - 4 * n)
     return total
 
 
-def m_of_order_routes(n: int, bound: int = ORDER_BOUND) -> tuple[Fraction, Fraction]:
+def m_of_order_routes(n: int) -> tuple[Fraction, Fraction]:
     """M(n) two ways: summed over window primes, and over group shapes."""
-    by_primes = m_of_order_by_primes(n, bound)
+    by_primes = m_of_order_by_primes(n)
     by_shapes = Fraction(0)
     for m, _ in order_decomposition(n):
-        by_shapes += m_of_group(m, n // (m * m), bound)
+        by_shapes += m_of_group(m, n // (m * m))
     return by_primes, by_shapes
 
 
@@ -141,9 +124,9 @@ def order_decomposition(n: int) -> list[tuple[int, int]]:
     return [(m, n // (m * m)) for m in square_divisors(n)]
 
 
-def m_of_order(n: int, bound: int = ORDER_BOUND) -> Fraction:
+def m_of_order(n: int) -> Fraction:
     """M(n) = sum over shapes of M(Z/m x Z/mk); both routes must agree."""
-    by_primes, by_shapes = m_of_order_routes(n, bound)
+    by_primes, by_shapes = m_of_order_routes(n)
     if by_primes != by_shapes:
         raise ConsistencyError(
             f"M({n}) routes disagree: {by_primes} by primes, {by_shapes} by shapes"
@@ -179,7 +162,7 @@ def eta_statistic(n: int) -> float:
     """Same normalized sum with every window prime counted (order version)."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    s = sum(math.sqrt(4 * n - (p - 1 - n) ** 2) for p in hasse_window(n).primes)
+    s = sum(math.sqrt(4 * n - (p - 1 - n) ** 2) for p in window_primes_in_class(n, 1))
     return math.log(2 * n) / n * s
 
 
@@ -348,10 +331,10 @@ def _tally_small(p: int) -> CurveTally:
     return CurveTally(p, entries, total)
 
 
-def brute_force_tally(p: int, cap: int = ORACLE_PRIME_CAP) -> CurveTally:
+def brute_force_tally(p: int) -> CurveTally:
     """Exhaustive weighted census of elliptic curves over F_p (oracle)."""
-    if p > cap:
-        raise ValueError(f"oracle prime {p} exceeds the cap {cap}")
+    if p > ORACLE_PRIME_CAP:
+        raise ValueError(f"oracle prime {p} exceeds the cap {ORACLE_PRIME_CAP}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return _tally_small(p) if p <= 3 else _tally_large(p)

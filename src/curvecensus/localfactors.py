@@ -44,7 +44,6 @@ _TAIL_LOG_CONSTANT = 4.0
 class LocalFactorTable:
     """The truncated float product, its tail bound, and exact factors on demand."""
 
-    context: dict
     primes: tuple[int, ...]
     truncated_value: float
     cutoff: int
@@ -118,7 +117,7 @@ def _unit_floats(cutoff: int) -> tuple[float, ...]:
     return tuple((d - 1) / d for d in ((ell - 1) ** 2 * (ell + 1) for ell in primes))
 
 
-def _assemble(factor_at, n: int, cutoff: int, context: dict) -> LocalFactorTable:
+def _assemble(factor_at, n: int, cutoff: int) -> LocalFactorTable:
     if cutoff < 100:
         raise ValueError(f"cutoff must be >= 100, got {cutoff}")
     primes, generic = _generic_floats(cutoff)
@@ -139,22 +138,21 @@ def _assemble(factor_at, n: int, cutoff: int, context: dict) -> LocalFactorTable
             floats.append(f.numerator / f.denominator)
     value = math.prod(floats, start=1.0)  # left to right, one rounding per factor
     tail = abs(value) * (math.exp(_TAIL_LOG_CONSTANT / cutoff) - 1.0)
-    return LocalFactorTable(context, primes + above, value, cutoff, tail, factor_at)
+    return LocalFactorTable(primes + above, value, cutoff, tail, factor_at)
 
 
 def k_of_group(m: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> LocalFactorTable:
     """Truncated shape constant with exact factors on demand and a tail bound."""
     if m < 1 or k < 1:
         raise ValueError(f"invalid shape ({m}, {k})")
-    n = m * m * k
-    return _assemble(lambda ell: group_factor(m, k, ell), n, cutoff, {"m": m, "k": k, "n": n})
+    return _assemble(lambda ell: group_factor(m, k, ell), m * m * k, cutoff)
 
 
 def k_of_order(n: int, cutoff: int = DEFAULT_CUTOFF) -> LocalFactorTable:
     """Truncated order constant with exact factors on demand and a tail bound."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    return _assemble(lambda ell: order_factor(n, ell), n, cutoff, {"n": n})
+    return _assemble(lambda ell: order_factor(n, ell), n, cutoff)
 
 
 def conjectural_main_term(m: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> tuple[float, float]:

@@ -60,6 +60,11 @@ def count_c_level_one(n: int, ell: int) -> int:
     )
 
 
+def _product_histogram(entries: np.ndarray, mod: int) -> np.ndarray:
+    """Index r gives #{(b, c) in entries^2 : bc = r mod `mod`}."""
+    return np.bincount((np.outer(entries, entries) % mod).ravel(), minlength=mod)
+
+
 def count_c_brute(q: MatrixCountQuery) -> int:
     """Fiber count by full enumeration: one entry of the memoized fiber scan."""
     mod = q.ell**q.e
@@ -95,7 +100,7 @@ def count_c_fibers(ell: int, e: int, u: int) -> np.ndarray:
         a, d = np.meshgrid((1 + off) % mod, (1 + off) % mod, indexing="ij")
         ad = (a * d % mod).ravel()
         one_minus_tr = (1 - a - d).ravel()
-        bc_counts = np.bincount((np.outer(off, off) % mod).ravel(), minlength=mod)
+        bc_counts = _product_histogram(off, mod)
         for r in np.flatnonzero(bc_counts):
             det = (ad - r) % mod
             vals = (det + one_minus_tr)[det % ell != 0] % mod
@@ -145,35 +150,27 @@ def det_count_closed(m_det: int, ell: int, e: int) -> int:
     return val.numerator
 
 
-def det_count_recurrence(r: int, s: int, ell: int) -> int:
-    """Same determinant-fiber count by the f(r, s) recurrences."""
-    if r == 0:
-        if s == 0:
-            return 1
-        return ell ** (3 * s - 2) * (ell**2 - 1)
-    if r == 1:
-        return ell ** (3 * s) * (ell + 1) * (ell**2 - 1) + (1 if s == 0 else 0)
-    return ell ** (3 * (r + s - 1)) * (ell + 1) * (ell**2 - 1) + ell**4 * det_count_recurrence(
-        r - 2, s, ell
-    )
-
-
 def det_count_brute(m_det: int, ell: int, e: int) -> int:
-    """Determinant fiber over Mat2(Z/l^e) by full enumeration."""
+    """Determinant fiber over Mat2(Z/l^e): one entry of the memoized histogram."""
+    return int(det_fibers(ell, e)[m_det % ell**e])
+
+
+@functools.lru_cache(maxsize=None)
+def det_fibers(ell: int, e: int) -> np.ndarray:
+    """Index t gives #{sigma in Mat2(Z/l^e) : det sigma = t}, counted exhaustively.
+
+    With P the histogram of products bc over all (b, c), the pairs with
+    ad - bc = t number sum_y P[y] P[t + y].  Memoized per (l, e); the array
+    is read-only.
+    """
     mod = ell**e
-    if mod == 1:
-        return 1
     if mod**4 > BRUTE_BUDGET:
         raise ValueError(f"enumeration budget exceeded: {mod}^4 > {BRUTE_BUDGET}")
-    rng = np.arange(mod, dtype=np.int64)
-    b_grid, c_grid = np.meshgrid(rng, rng, indexing="ij")
-    bc = (b_grid.ravel() * c_grid.ravel()) % mod
-    target = m_det % mod
-    total = 0
-    for a in rng:
-        for d in rng:
-            total += int(np.count_nonzero((a * d - bc - target) % mod == 0))
-    return total
+    residues = np.arange(mod, dtype=np.int64)
+    prod = _product_histogram(residues, mod)
+    out = prod @ prod[np.add.outer(residues, residues) % mod]
+    out.flags.writeable = False
+    return out
 
 
 def _density(n: int, u: int, ell: int) -> Fraction:
@@ -261,8 +258,3 @@ def verify_kg_interpretation(m: int, k: int, cutoff: int) -> list[dict]:
             }
         )
     return out
-
-
-def fiber_partition_holds(ell: int, e: int) -> bool:
-    """Sum over all residues N of #C(N, 1; l^e) equals #GL2(Z/l^e)."""
-    return int(count_c_fibers(ell, e, 0).sum()) == gl2_order(ell, e)

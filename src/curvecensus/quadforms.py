@@ -10,23 +10,23 @@ computable in a single pass over all reduced forms of discriminant D
 f*(x^2 + y^2), by 1/6 when it is f*(x^2 + xy + y^2), and by 1/2 otherwise;
 both routes are exposed and must agree.
 
-L(1, (d/.)) is available three ways: exactly through the class number
-formula, as a truncated Dirichlet series with a rigorous tail bound, and as
-a truncated Euler product (diagnostic only, slow convergence).
+L(1, (d/.)) is available two ways: exactly through the class number
+formula, and as a truncated Dirichlet series with a rigorous tail bound.
+
+Class data lives in one in-process store: a bulk table _h_table covering
+every |d| up to its limit, and a per-discriminant memo _cache for values
+computed one at a time.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-import os
-import tempfile
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import kronecker, primes_up_to, square_divisors
+from .arith import kronecker, square_divisors
 
 
 class ClassData(NamedTuple):
@@ -43,8 +43,8 @@ class LSeriesValue(NamedTuple):
 CLASS_TABLE_CAP = 2**26
 
 # Memoized class data.  _h_table[|d|] covers every discriminant up to the
-# precomputed limit in one array; _cache holds individually computed or
-# file-loaded entries.  The package runs on one thread.
+# precomputed limit in one array; _cache holds individually computed
+# entries.  The package runs on one thread.
 _cache: dict[int, ClassData] = {}
 _h_table: np.ndarray | None = None
 _h_table_limit = 0
@@ -222,47 +222,3 @@ def l_value_series(d: int, x: int) -> LSeriesValue:
     value = float(np.sum(period[n % (-d)] / n))
     tail = _PV_CONSTANT * math.sqrt(-d) * math.log(-d) / x
     return LSeriesValue(value, tail)
-
-
-def l_value_truncated(d: int, z: int) -> float:
-    """Euler product of L(1, (d/.)) truncated at primes <= z (diagnostic)."""
-    _require_discriminant(d)
-    if z < 2:
-        raise ValueError(f"product cutoff must be >= 2, got {z}")
-    out = 1.0
-    for ell in primes_up_to(z):
-        out /= 1.0 - kronecker(d, ell) / ell
-    return out
-
-
-def load_class_cache(path: str) -> int:
-    """Load a discriminant,h,w CSV into the memo cache; returns rows read."""
-    count = 0
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = {}
-        for row in reader:
-            d = int(row["discriminant"])
-            _require_discriminant(d)
-            rows[d] = ClassData(int(row["h"]), int(row["w"]))
-            count += 1
-    _cache.update(rows)
-    return count
-
-
-def save_class_cache(path: str) -> int:
-    """Atomically rewrite the cache CSV, sorted ascending by |discriminant|."""
-    items = sorted(_cache.items(), key=lambda kv: -kv[0])
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["discriminant", "h", "w"])
-            for d, (h, w) in items:
-                writer.writerow([d, h, w])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return len(items)

@@ -87,6 +87,19 @@ def test_matrix_command(capsys):
     assert row["density"] == "1/2"
 
 
+def test_matrix_brute_cell_follows_the_scan_budget(capsys):
+    # 2^28 matrices mod 2^7, but only the 32^4 congruent to I mod 4 are scanned
+    code, out = run_cli(capsys, ["matrix", "--n", "16", "--tor", "4", "--l", "2", "--e", "7"])
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["count_closed"] == row["count_brute"] == "98304"
+    # 101^4 cells exceed the budget: the brute cell stays empty
+    code, out = run_cli(capsys, ["matrix", "--n", "2", "--l", "101", "--e", "1"])
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["count_brute"] == "" and row["count_closed"] != ""
+
+
 def test_verify_suites_pass(capsys):
     for args in [
         ["verify", "oracle", "--pmax", "7"],
@@ -134,6 +147,7 @@ def test_usage_errors(capsys):
     assert cli.main(["--cutoff", "10", "mg", "--m", "1", "--k", "1"]) == 2
     assert cli.main(["matrix", "--n", "4", "--l", "4", "--e", "1"]) == 2
     assert cli.main(["--seed", "0", "mg", "--m", "1", "--k", "1"]) == 2
+    assert cli.main(["--class-cache", "cache.csv", "mg", "--m", "1", "--k", "1"]) == 2
     capsys.readouterr()
 
 
@@ -178,17 +192,6 @@ def test_mn_route_disagreement_exits_1(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: M(6) routes disagree") and err.count("\n") == 1
     assert "Traceback" not in err
-
-
-def test_class_cache_flag(capsys, tmp_path):
-    path = tmp_path / "cache.csv"
-    code, _ = run_cli(capsys, ["--class-cache", str(path), "mn", "--n", "6", "--cutoff", "1000"])
-    assert code == 0
-    assert path.exists()
-    text = path.read_text()
-    assert text.startswith("discriminant,h,w")
-    code, _ = run_cli(capsys, ["--class-cache", str(path), "mn", "--n", "6", "--cutoff", "1000"])
-    assert code == 0
 
 
 def test_byte_determinism(capsys):

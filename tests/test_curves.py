@@ -10,7 +10,6 @@ from curvecensus.curves import (
     brute_force_tally,
     delta_statistic,
     eta_statistic,
-    hasse_window,
     inclusion_exclusion_check,
     m_of_group,
     m_of_order,
@@ -18,6 +17,7 @@ from curvecensus.curves import (
     m_p_of_group,
     m_p_of_order,
     trace_discriminant,
+    window_primes_in_class,
 )
 
 
@@ -26,15 +26,15 @@ def setup_module():
 
 
 def test_hasse_window_examples():
-    assert hasse_window(1).primes == (2, 3)
-    assert hasse_window(4).primes == (2, 3, 5, 7)
-    assert hasse_window(121).primes == (101, 103, 107, 109, 113, 127, 131, 137, 139)
+    assert window_primes_in_class(1, 1) == [2, 3]
+    assert window_primes_in_class(4, 1) == [2, 3, 5, 7]
+    assert window_primes_in_class(121, 1) == [101, 103, 107, 109, 113, 127, 131, 137, 139]
 
 
 def test_hasse_window_membership_is_strict():
     for n in range(1, 400):
-        primes = hasse_window(n).primes
-        assert list(primes) == sorted(primes)
+        primes = window_primes_in_class(n, 1)
+        assert primes == sorted(primes)
         for p in primes:
             assert (p - 1 - n) ** 2 < 4 * n
         # no window prime escapes the scan
@@ -144,7 +144,7 @@ def test_eta_examples():
 
 def test_eta_empty_window(monkeypatch):
     # no desk-scale order has a prime-free Hasse window; force one
-    monkeypatch.setattr(curves, "hasse_window", lambda n: curves.HasseWindow(n, ()))
+    monkeypatch.setattr(curves, "window_primes_in_class", lambda n, m: [])
     assert eta_statistic(10) == 0.0
 
 

@@ -112,17 +112,31 @@ def test_det_count_examples():
 
 
 def test_det_count_routes_agree():
+    mc.det_fibers.cache_clear()
+    grids = set()
     for ell in (2, 3):
         e = 1
         while ell**e <= 27:
             for m_det in range(1, 28):
-                r = valuation(ell, m_det)
-                if r > e:
+                if valuation(ell, m_det) > e:
                     continue
                 closed = mc.det_count_closed(m_det, ell, e)
                 assert closed == mc.det_count_brute(m_det, ell, e), (m_det, ell, e)
-                assert closed == mc.det_count_recurrence(r, e - r, ell)
+                grids.add((ell, e))
             e += 1
+    # one determinant histogram per (l, e), however many targets read it
+    assert mc.det_fibers.cache_info().misses == len(grids)
+
+
+def test_det_fiber_arrays_cover_every_matrix():
+    for ell, e in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]:
+        fibers = mc.det_fibers(ell, e)
+        assert int(fibers.sum()) == ell ** (4 * e), (ell, e)
+        with pytest.raises(ValueError):
+            fibers[0] = 0
+    assert mc.det_count_brute(5, 3, 0) == 1  # Mat2(Z/1)
+    with pytest.raises(ValueError):
+        mc.det_count_brute(1, 101, 1)  # 101^4 cells exceed the budget
 
 
 def test_euler_density_examples():
@@ -149,7 +163,7 @@ def test_density_stabilizes_in_brute_force():
 
 def test_fiber_partition():
     for ell, e in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]:
-        assert mc.fiber_partition_holds(ell, e), (ell, e)
+        assert mc.count_c_fibers(ell, e, 0).sum() == mc.gl2_order(ell, e), (ell, e)
 
 
 def test_kn_interpretation():

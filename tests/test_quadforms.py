@@ -1,4 +1,3 @@
-import csv
 import math
 from fractions import Fraction
 
@@ -12,7 +11,6 @@ from curvecensus.quadforms import (
     kronecker_class_number_weighted,
     l_value_exact,
     l_value_series,
-    l_value_truncated,
 )
 
 
@@ -148,32 +146,3 @@ def test_l_value_series_consistency_small_range():
             continue
         value, tail = l_value_series(d, 10**5)
         assert abs(value - l_value_exact(d)) <= tail, d
-
-
-def test_l_value_truncated():
-    assert l_value_truncated(-4, 2) == 1.0
-    assert abs(l_value_truncated(-3, 3) - 2 / 3) < 1e-15
-    assert abs(l_value_truncated(-4, 10**5) - math.pi / 4) < 0.05
-    with pytest.raises(ValueError):
-        l_value_truncated(-4, 1)
-
-
-def test_class_cache_round_trip(tmp_path, monkeypatch):
-    # sidestep any bulk table another test installed, so the lookup lands
-    # in the spillable per-discriminant cache
-    monkeypatch.setattr(quadforms, "_h_table", None)
-    monkeypatch.setattr(quadforms, "_h_table_limit", 0)
-    d0 = -100003  # = 1 mod 4
-    expected = class_data(d0)
-    path = tmp_path / "classdata.csv"
-    assert quadforms.save_class_cache(str(path)) >= 1
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["discriminant", "h", "w"]
-    discs = [int(r[0]) for r in rows[1:]]
-    assert discs == sorted(discs, key=lambda d: -d)
-    assert [str(d0), str(expected.h), str(expected.w)] in rows[1:]
-
-    quadforms._cache.pop(d0, None)
-    assert quadforms.load_class_cache(str(path)) == len(rows) - 1
-    assert class_data(d0) == expected
