@@ -17,6 +17,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_LIMIT = 10**6
 
+# Largest sieve bound (a 64 MiB bytearray), the same figure as quadforms.CLASS_TABLE_CAP.
+SIEVE_CAP = 2**26
+
 
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a/n) for n >= 1, completely multiplicative in n."""
@@ -188,14 +191,6 @@ def valuation(ell: int, n: int) -> int:
     return v
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    out = [1]
-    for p, e in factorize(n).factors:
-        out = [d * p**j for d in out for j in range(e + 1)]
-    return sorted(out)
-
-
 def square_divisors(n: int) -> list[int]:
     """All f >= 1 with f**2 | n, ascending."""
     out = [1]
@@ -208,6 +203,8 @@ def square_divisors(n: int) -> list[int]:
 def _primes_tuple(n: int) -> tuple[int, ...]:
     if n < 2:
         return ()
+    if n > SIEVE_CAP:
+        raise ValueError(f"prime sieve up to {n} exceeds {SIEVE_CAP}")
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(n) + 1):
@@ -218,7 +215,10 @@ def _primes_tuple(n: int) -> tuple[int, ...]:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """Primes <= n by sieve of Eratosthenes (memoized for repeated cutoffs)."""
+    """Primes <= n by sieve of Eratosthenes (memoized for repeated cutoffs).
+
+    A bound above SIEVE_CAP raises ValueError before anything is allocated.
+    """
     return list(_primes_tuple(n))
 
 

@@ -7,10 +7,15 @@ column order and floats printed to 10 significant digits, so identical
 invocations are byte-identical.  Everything runs on one thread; --threads
 is accepted, validated and echoed in the JSON config for compatibility, and
 changes neither the work nor the output.  Class numbers are tabulated in
-memory for each run; nothing is cached on disk.  Exit codes: 0 success, 1
-verification mismatch or disagreeing computation routes, 2 usage error
-(including an output path that cannot be written or a class-number table
-above its cap).
+memory for each run; nothing is cached on disk.
+
+The argparse parser is the only place input is checked and the only
+dispatch table: its type converters bound every number and path, and each
+subcommand names its cmd_* function.  Exit codes: 0 success (and --help),
+1 verification mismatch or disagreeing computation routes, 2 usage error.
+Every usage error, whether from the parser, an unwritable output path, a
+class-number table above its cap or a prime sieve above its cap, is one
+`error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import curves, localfactors, matrixcounts, quadforms
@@ -30,16 +34,6 @@ from .arith import is_prime, primes_up_to, valuation
 from .errors import ConsistencyError
 
 USAGE_ERROR = 2
-
-
-@dataclass
-class RunConfig:
-    command: str
-    parameters: dict = field(default_factory=dict)
-    format: str = "csv"
-    cutoff: int = localfactors.DEFAULT_CUTOFF
-    output_path: str | None = None
-    threads: int = 1
 
 
 def _fmt_float(x: float) -> str:
@@ -51,18 +45,16 @@ def _fmt_frac(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _emit(config: RunConfig, columns: list[str], rows: list[list],
-          summary: dict | None = None, suite: str | None = None,
-          mismatches: int | None = None) -> None:
-    if config.format == "json":
-        doc: dict = {"command": config.command}
-        if suite is not None:
-            doc["suite"] = suite
+def _emit(args, columns: list[str], rows: list[list],
+          summary: dict | None = None, mismatches: int | None = None) -> None:
+    if args.format == "json":
+        doc: dict = {"command": args.command}
+        if mismatches is not None:
+            doc["suite"] = args.suite
+        # the parser sets format, cutoff, out and threads before the subcommand's arguments
         doc["config"] = {
-            "format": config.format,
-            "cutoff": config.cutoff,
-            "threads": config.threads,
-            **config.parameters,
+            key: val for key, val in vars(args).items()
+            if key not in {"out", "command", "run"} and val is not None
         }
         doc["columns"] = columns
         doc["rows"] = rows
@@ -79,12 +71,12 @@ def _emit(config: RunConfig, columns: list[str], rows: list[list],
         for row in rows:
             writer.writerow(row)
         text = buf.getvalue()
-    if config.output_path:
+    if args.out:
         try:
-            with open(config.output_path, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:  # reported as a usage error, like a bad argument
-            raise ValueError(f"cannot write {config.output_path}: {exc.strerror}") from exc
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -108,14 +100,15 @@ def _main_term_cells(m: int, k: int, total: Fraction, cutoff: int):
     return aut, table, _fmt_float(main), _fmt_float(float(total) / main)
 
 
-def cmd_mg(config: RunConfig, m: int, k: int, per_prime: bool) -> int:
+def cmd_mg(args) -> int:
+    m, k = args.m, args.k
     n = m * m * k
     quadforms.precompute_class_numbers(max(4 * k + 4, 16))
     terms = [
         (p, curves.m_p_of_group(m, k, p)) for p in curves.window_primes_in_class(n, m)
     ]
     total = sum((t for _, t in terms), Fraction(0))
-    aut, table, main_s, ratio_s = _main_term_cells(m, k, total, config.cutoff)
+    aut, table, main_s, ratio_s = _main_term_cells(m, k, total, args.cutoff)
     summary = {
         "m": m,
         "k": k,
@@ -129,17 +122,18 @@ def cmd_mg(config: RunConfig, m: int, k: int, per_prime: bool) -> int:
         "main_term": main_s,
         "ratio": ratio_s,
     }
-    if per_prime:
+    if args.per_prime:
         columns = ["p", "term", "term_decimal"]
         rows = [[p, _fmt_frac(t), _fmt_float(float(t))] for p, t in terms]
     else:
         columns = list(summary.keys())
         rows = [list(summary.values())]
-    _emit(config, columns, rows, summary=summary)
+    _emit(args, columns, rows, summary=summary)
     return 0
 
 
-def cmd_mn(config: RunConfig, n: int, x: int | None) -> int:
+def cmd_mn(args) -> int:
+    n = args.n
     quadforms.precompute_class_numbers(max(4 * n + 4, 16))
     shapes = curves.order_decomposition(n)
     terms = [(m, k, curves.m_of_group(m, k)) for m, k in shapes]
@@ -149,9 +143,9 @@ def cmd_mn(config: RunConfig, n: int, x: int | None) -> int:
         raise ConsistencyError(
             f"M({n}) routes disagree: {by_primes} by primes, {total} by shapes"
         )
-    x_eff = x if x is not None else math.isqrt(n)
+    x_eff = args.x if args.x is not None else math.isqrt(n)
     truncated = sum((t for m, _, t in terms if m <= x_eff), Fraction(0))
-    table = localfactors.k_of_order(n, config.cutoff)
+    table = localfactors.k_of_order(n, args.cutoff)
     summary = {
         "n": n,
         "m_of_order": _fmt_frac(total),
@@ -165,17 +159,17 @@ def cmd_mn(config: RunConfig, n: int, x: int | None) -> int:
     }
     columns = ["m", "k", "term", "term_decimal"]
     rows = [[m, k, _fmt_frac(t), _fmt_float(float(t))] for m, k, t in terms]
-    _emit(config, columns, rows, summary=summary)
+    _emit(args, columns, rows, summary=summary)
     return 0
 
 
-def cmd_grid(config: RunConfig, mmax: int, kmax: int) -> int:
-    quadforms.precompute_class_numbers(max(4 * kmax + 4, 16))
+def cmd_grid(args) -> int:
+    quadforms.precompute_class_numbers(max(4 * args.kmax + 4, 16))
     rows = []
-    for m in range(1, mmax + 1):
-        for k in range(1, kmax + 1):
+    for m in range(1, args.mmax + 1):
+        for k in range(1, args.kmax + 1):
             total = curves.m_of_group(m, k)
-            aut, table, main_s, ratio_s = _main_term_cells(m, k, total, config.cutoff)
+            aut, table, main_s, ratio_s = _main_term_cells(m, k, total, args.cutoff)
             rows.append([
                 m, k, m * m * k,
                 _fmt_frac(total), _fmt_float(float(total)),
@@ -187,12 +181,13 @@ def cmd_grid(config: RunConfig, mmax: int, kmax: int) -> int:
         "m", "k", "n", "m_of_group", "m_of_group_decimal",
         "aut_order", "k_shape_truncated", "main_term", "ratio",
     ]
-    _emit(config, columns, rows)
+    _emit(args, columns, rows)
     return 0
 
 
-def cmd_constants(config: RunConfig, m: int, k: int, n: int | None) -> int:
-    shape_table = localfactors.k_of_group(m, k, config.cutoff)
+def cmd_constants(args) -> int:
+    m, k, n = args.m, args.k, args.n
+    shape_table = localfactors.k_of_group(m, k, args.cutoff)
     rows = [
         ["m", str(m)],
         ["k", str(k)],
@@ -204,18 +199,19 @@ def cmd_constants(config: RunConfig, m: int, k: int, n: int | None) -> int:
         ["delta", _fmt_float(curves.delta_statistic(m, k))],
     ]
     if n is not None:
-        order_table = localfactors.k_of_order(n, config.cutoff)
+        order_table = localfactors.k_of_order(n, args.cutoff)
         rows += [
             ["n", str(n)],
             ["k_order_truncated", _fmt_float(order_table.truncated_value)],
             ["k_order_tail_bound", _fmt_float(order_table.tail_bound)],
             ["eta", _fmt_float(curves.eta_statistic(n))],
         ]
-    _emit(config, ["quantity", "value"], rows)
+    _emit(args, ["quantity", "value"], rows)
     return 0
 
 
-def cmd_matrix(config: RunConfig, n: int, tor: int, ell: int, e: int) -> int:
+def cmd_matrix(args) -> int:
+    n, tor, ell, e = args.n, args.tor, args.ell, args.e
     v = valuation(ell, n)
     q = matrixcounts.MatrixCountQuery(n, tor, ell, e)
     closed = str(matrixcounts.count_c_closed(q)) if e > v else ""
@@ -228,7 +224,7 @@ def cmd_matrix(config: RunConfig, n: int, tor: int, ell: int, e: int) -> int:
         density = _fmt_frac(matrixcounts.euler_density(n, tor, ell))
     rows = [[n, tor, ell, e, closed, brute, str(matrixcounts.gl2_order(ell, e)), density]]
     columns = ["n", "torsion", "ell", "e", "count_closed", "count_brute", "gl2_order", "density"]
-    _emit(config, columns, rows)
+    _emit(args, columns, rows)
     return 0
 
 
@@ -362,23 +358,61 @@ def _suite_identity(nmax: int) -> list[list]:
     return rows
 
 
-def cmd_verify(config: RunConfig, suite: str, args) -> int:
-    if suite == "oracle":
-        rows = _suite_oracle(args.pmax)
-    elif suite == "matrix":
-        rows = _suite_matrix(args.lmax, args.emax, args.nmax)
-    elif suite == "local":
-        rows = _suite_local()
-    elif suite == "constants":
-        rows = _suite_constants(args.nmax, args.mmax, args.kmax, args.lmax)
-    else:
-        rows = _suite_identity(args.nmax)
+_SUITES = {
+    "oracle": lambda a: _suite_oracle(a.pmax),
+    "matrix": lambda a: _suite_matrix(a.lmax, a.emax, a.nmax),
+    "local": lambda a: _suite_local(),
+    "constants": lambda a: _suite_constants(a.nmax, a.mmax, a.kmax, a.lmax),
+    "identity": lambda a: _suite_identity(a.nmax),
+}
+
+
+def cmd_verify(args) -> int:
+    if args.nmax is None:
+        args.nmax = 500 if args.suite == "identity" else 12
+    rows = _SUITES[args.suite](args)
     mismatches = sum(1 for r in rows if not r[3])
-    _emit(config, ["check", "lhs", "rhs", "equal"], rows, suite=suite, mismatches=mismatches)
+    _emit(args, ["check", "lhs", "rhs", "equal"], rows, mismatches=mismatches)
     return 1 if mismatches else 0
 
 
 # --- argument parsing -------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises each usage error as a ValueError, which main prints as one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an int >= lo, and <= hi when hi is given."""
+    bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"must be {bounds}")
+        return value
+
+    return convert
+
+
+def _prime(text: str) -> int:
+    value = _int_in(2)(text)
+    if not is_prime(value):
+        raise argparse.ArgumentTypeError(f"{value} is not prime")
+    return value
+
+
+def _out_path(path: str) -> str:
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise argparse.ArgumentTypeError(f"directory of {path} does not exist")
+    return path
 
 
 def _common_flags(top_level: bool) -> argparse.ArgumentParser:
@@ -391,17 +425,18 @@ def _common_flags(top_level: bool) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--format", choices=["csv", "json"],
                    default="csv" if top_level else miss)
-    p.add_argument("--cutoff", type=int,
+    p.add_argument("--cutoff", type=_int_in(100),
                    default=localfactors.DEFAULT_CUTOFF if top_level else miss,
                    help="Euler product truncation (default 100000)")
-    p.add_argument("--out", metavar="PATH", default=None if top_level else miss)
-    p.add_argument("--threads", type=int, default=1 if top_level else miss,
+    p.add_argument("--out", metavar="PATH", type=_out_path,
+                   default=None if top_level else miss)
+    p.add_argument("--threads", type=_int_in(1), default=1 if top_level else miss,
                    help="accepted for compatibility; has no effect on the work or the output")
     return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="curvecensus",
         description="Exact weighted counts of elliptic curve groups over prime fields.",
         parents=[_common_flags(True)],
@@ -410,116 +445,59 @@ def _build_parser() -> argparse.ArgumentParser:
     common = _common_flags(False)
 
     p = sub.add_parser("mg", parents=[common], help="weighted count for the group Z/m x Z/mk")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--m", type=_int_in(1), required=True)
+    p.add_argument("--k", type=_int_in(1), required=True)
     p.add_argument("--per-prime", action="store_true")
+    p.set_defaults(run=cmd_mg)
 
     p = sub.add_parser("mn", parents=[common], help="weighted count for a fixed order")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_in(1), required=True)
     p.add_argument("--x", type=int, default=None, help="truncation point of the shape sum")
+    p.set_defaults(run=cmd_mn)
 
     p = sub.add_parser("grid", parents=[common], help="table of counts over a shape rectangle")
-    p.add_argument("--mmax", type=int, required=True)
-    p.add_argument("--kmax", type=int, required=True)
+    p.add_argument("--mmax", type=_int_in(1), required=True)
+    p.add_argument("--kmax", type=_int_in(1), required=True)
+    p.set_defaults(run=cmd_grid)
 
     p = sub.add_parser("constants", parents=[common],
                        help="local constants for a shape (and order)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--m", type=_int_in(1), required=True)
+    p.add_argument("--k", type=_int_in(1), required=True)
+    p.add_argument("--n", type=_int_in(1), default=None)
+    p.set_defaults(run=cmd_constants)
 
     p = sub.add_parser("matrix", parents=[common], help="one matrix fiber count")
-    p.add_argument("--n", type=int, required=True, help="order target of det + 1 - tr")
-    p.add_argument("--tor", type=int, default=1, help="torsion level")
-    p.add_argument("--l", dest="ell", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
+    p.add_argument("--n", type=_int_in(1), required=True, help="order target of det + 1 - tr")
+    p.add_argument("--tor", type=_int_in(1), default=1, help="torsion level")
+    p.add_argument("--l", dest="ell", type=_prime, required=True)
+    p.add_argument("--e", type=_int_in(1), required=True)
+    p.set_defaults(run=cmd_matrix)
 
     p = sub.add_parser("verify", parents=[common], help="run a dual-route verification suite")
-    p.add_argument("suite", choices=["oracle", "matrix", "local", "constants", "identity"])
-    p.add_argument("--pmax", type=int, default=13)
-    p.add_argument("--lmax", type=int, default=3)
-    p.add_argument("--emax", type=int, default=3)
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--mmax", type=int, default=3)
-    p.add_argument("--kmax", type=int, default=5)
+    p.add_argument("suite", choices=_SUITES)
+    p.add_argument("--pmax", type=_int_in(2, curves.ORACLE_PRIME_CAP), default=13)
+    p.add_argument("--lmax", type=_int_in(1), default=3)
+    p.add_argument("--emax", type=_int_in(1), default=3)
+    p.add_argument("--nmax", type=_int_in(1), default=None)
+    p.add_argument("--mmax", type=_int_in(1), default=3)
+    p.add_argument("--kmax", type=_int_in(1), default=5)
+    p.set_defaults(run=cmd_verify)
     return parser
 
 
-def _validate(args) -> str | None:
-    if args.cutoff < 100:
-        return "cutoff must be >= 100"
-    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-        return f"directory of {args.out} does not exist"
-    if args.threads < 1:
-        return "threads must be >= 1"
-    if args.command == "mg" and (args.m < 1 or args.k < 1):
-        return "m and k must be >= 1"
-    if args.command == "mn" and args.n < 1:
-        return "n must be >= 1"
-    if args.command == "grid" and (args.mmax < 1 or args.kmax < 1):
-        return "mmax and kmax must be >= 1"
-    if args.command == "constants" and (args.m < 1 or args.k < 1):
-        return "m and k must be >= 1"
-    if args.command == "matrix":
-        if args.n < 1 or args.tor < 1 or args.e < 1:
-            return "n, tor and e must be >= 1"
-        if not is_prime(args.ell):
-            return f"{args.ell} is not prime"
-    if args.command == "verify":
-        if args.nmax is None:
-            args.nmax = {"matrix": 12, "constants": 12, "identity": 500}.get(args.suite, 12)
-        if args.pmax < 2 or args.pmax > curves.ORACLE_PRIME_CAP:
-            return f"pmax must be in [2, {curves.ORACLE_PRIME_CAP}]"
-        if min(args.lmax, args.emax, args.nmax, args.mmax, args.kmax) < 1:
-            return "suite bounds must be >= 1"
-    return None
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code else 0
-    problem = _validate(args)
-    if problem is not None:
-        sys.stderr.write(f"error: {problem}\n")
-        return USAGE_ERROR
-
-    config = RunConfig(
-        command=args.command,
-        parameters={
-            key: val
-            for key, val in vars(args).items()
-            if key not in {"format", "cutoff", "out", "threads", "command"}
-            and val is not None
-        },
-        format=args.format,
-        cutoff=args.cutoff,
-        output_path=args.out,
-        threads=args.threads,
-    )
-
-    try:
-        if args.command == "mg":
-            code = cmd_mg(config, args.m, args.k, args.per_prime)
-        elif args.command == "mn":
-            code = cmd_mn(config, args.n, args.x)
-        elif args.command == "grid":
-            code = cmd_grid(config, args.mmax, args.kmax)
-        elif args.command == "constants":
-            code = cmd_constants(config, args.m, args.k, args.n)
-        elif args.command == "matrix":
-            code = cmd_matrix(config, args.n, args.tor, args.ell, args.e)
-        else:
-            code = cmd_verify(config, args.suite, args)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
+    except SystemExit as exc:  # --help printed to stdout
+        return exc.code
     except (ValueError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     except ConsistencyError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    return code
 
 
 if __name__ == "__main__":

@@ -159,11 +159,10 @@ def delta_statistic(m: int, k: int) -> float:
 
 
 def eta_statistic(n: int) -> float:
-    """Same normalized sum with every window prime counted (order version)."""
+    """Same normalized sum with every window prime counted: delta_statistic(1, n)."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    s = sum(math.sqrt(4 * n - (p - 1 - n) ** 2) for p in window_primes_in_class(n, 1))
-    return math.log(2 * n) / n * s
+    return delta_statistic(1, n)
 
 
 # --- brute-force oracle ----------------------------------------------------

@@ -125,8 +125,9 @@ def test_multiplicative_functions():
     assert arith.mobius(30) == -1
     assert arith.mobius(12) == 0
     for n in range(1, 300):
-        assert sum(arith.euler_phi(d) for d in arith.divisors(n)) == n
-        assert sum(arith.mobius(d) for d in arith.divisors(n)) == (1 if n == 1 else 0)
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        assert sum(arith.euler_phi(d) for d in divisors) == n
+        assert sum(arith.mobius(d) for d in divisors) == (1 if n == 1 else 0)
 
 
 def test_square_divisors():
@@ -140,6 +141,14 @@ def test_primes_up_to():
     assert arith.primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     ps = arith.primes_up_to(10000)
     assert len(ps) == 1229 and ps[-1] == 9973
+
+
+def test_primes_up_to_refuses_a_sieve_above_the_cap():
+    # a 10^15-byte sieve: refused before the bytearray is allocated
+    with pytest.raises(ValueError, match="exceeds"):
+        arith.primes_up_to(10**15)
+    with pytest.raises(ValueError):
+        arith.primes_up_to(arith.SIEVE_CAP + 1)
 
 
 def test_primes_in_ap_examples():

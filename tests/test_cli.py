@@ -60,6 +60,34 @@ def test_mn_table_and_summary(capsys):
     assert doc["rows"] == [[1, 4, "2/1", "2"], [2, 1, "7/12", "0.5833333333"]]
 
 
+JSON_CONFIGS = [
+    (["--format", "json", "mg", "--m", "2", "--k", "1", "--cutoff", "1000"],
+     [("format", "json"), ("cutoff", 1000), ("threads", 1), ("m", 2), ("k", 1),
+      ("per_prime", False)]),
+    (["grid", "--mmax", "1", "--kmax", "2", "--format", "json", "--cutoff", "1000",
+      "--threads", "2"],
+     [("format", "json"), ("cutoff", 1000), ("threads", 2), ("mmax", 1), ("kmax", 2)]),
+    (["--format", "json", "constants", "--m", "1", "--k", "1", "--cutoff", "1000"],
+     [("format", "json"), ("cutoff", 1000), ("threads", 1), ("m", 1), ("k", 1)]),
+    (["--format", "json", "matrix", "--n", "4", "--tor", "2", "--l", "2", "--e", "3"],
+     [("format", "json"), ("cutoff", 100000), ("threads", 1), ("n", 4), ("tor", 2),
+      ("ell", 2), ("e", 3)]),
+    (["--format", "json", "verify", "matrix", "--lmax", "2", "--emax", "1"],
+     [("format", "json"), ("cutoff", 100000), ("threads", 1), ("suite", "matrix"),
+      ("pmax", 13), ("lmax", 2), ("emax", 1), ("nmax", 12), ("mmax", 3), ("kmax", 5)]),
+]
+
+
+def test_json_config(capsys):
+    # keys in order; flags after the subcommand land in the same place
+    for args, config in JSON_CONFIGS:
+        code, out = run_cli(capsys, args)
+        assert code == 0, args
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema())
+        assert list(doc["config"].items()) == config
+
+
 def test_grid(capsys):
     code, out = run_cli(capsys, ["grid", "--mmax", "2", "--kmax", "3", "--cutoff", "1000"])
     assert code == 0
@@ -140,15 +168,52 @@ def test_verify_detects_mismatch(capsys, monkeypatch):
     assert doc["mismatches"] == 1
 
 
+USAGE_ERRORS = [
+    ["mg", "--m", "0", "--k", "1"],
+    ["bogus"],
+    [],
+    ["mg", "--m", "1"],
+    ["mg", "--m", "x", "--k", "1"],
+    ["--format", "xml", "mg", "--m", "1", "--k", "1"],
+    ["verify", "bogus"],
+    ["--threads", "0", "mg", "--m", "1", "--k", "1"],
+    ["mg", "--m", "1", "--k", "1", "--threads", "0"],
+    ["verify", "oracle", "--pmax", "100"],
+    ["verify", "matrix", "--nmax", "0"],
+    ["--cutoff", "10", "mg", "--m", "1", "--k", "1"],
+    ["matrix", "--n", "4", "--l", "4", "--e", "1"],
+    ["constants", "--m", "1", "--k", "1", "--n", "0"],
+    ["--seed", "0", "mg", "--m", "1", "--k", "1"],
+    ["--class-cache", "cache.csv", "mg", "--m", "1", "--k", "1"],
+]
+
+
 def test_usage_errors(capsys):
-    assert cli.main(["mg", "--m", "0", "--k", "1"]) == 2
-    assert cli.main(["bogus"]) == 2
-    assert cli.main(["verify", "oracle", "--pmax", "100"]) == 2
-    assert cli.main(["--cutoff", "10", "mg", "--m", "1", "--k", "1"]) == 2
-    assert cli.main(["matrix", "--n", "4", "--l", "4", "--e", "1"]) == 2
-    assert cli.main(["--seed", "0", "mg", "--m", "1", "--k", "1"]) == 2
-    assert cli.main(["--class-cache", "cache.csv", "mg", "--m", "1", "--k", "1"]) == 2
-    capsys.readouterr()
+    # parser, converter and check failures alike: one stderr line, exit 2
+    for args in USAGE_ERRORS:
+        code = cli.main(args)
+        out, err = capsys.readouterr()
+        assert code == cli.USAGE_ERROR, args
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+
+
+def test_help_exits_0(capsys):
+    for args in (["--help"], ["verify", "--help"]):
+        assert cli.main(args) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: curvecensus") and err == ""
+
+
+def test_sieve_cap_is_a_usage_error(capsys):
+    # a 10^15-byte prime sieve: refused before any allocation
+    for args in (["constants", "--m", "1", "--k", "1", "--cutoff", "1000000000000000"],
+                 ["verify", "constants", "--lmax", "1000000000000000"]):
+        code = cli.main(args)
+        out, err = capsys.readouterr()
+        assert code == cli.USAGE_ERROR, args
+        assert out == ""
+        assert err.startswith("error: prime sieve") and err.count("\n") == 1
 
 
 def test_class_table_cap_is_a_usage_error(capsys):
