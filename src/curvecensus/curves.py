@@ -26,6 +26,8 @@ from .errors import ConsistencyError
 from .quadforms import kronecker_class_number, kronecker_class_number_restricted
 
 ORDER_BOUND = 2**40
+# candidates in the whole Hasse window of ORDER_BOUND, the widest scan allowed
+_MAX_WINDOW_SCAN = 4 * math.isqrt(ORDER_BOUND) + 4
 ORACLE_PRIME_CAP = 61
 
 
@@ -73,8 +75,6 @@ def m_p_of_group(m: int, k: int, p: int) -> Fraction:
 def m_of_group(m: int, k: int) -> Fraction:
     """Weighted count over all primes: sum of m_p_of_group over the window."""
     n = m * m * k
-    if n > ORDER_BOUND:
-        raise OverflowError(f"group order {n} exceeds the bound {ORDER_BOUND}")
     total = Fraction(0)
     for p in window_primes_in_class(n, m):
         total += kronecker_class_number_restricted(trace_discriminant(m, k, p), k)
@@ -82,9 +82,16 @@ def m_of_group(m: int, k: int) -> Fraction:
 
 
 def window_primes_in_class(n: int, m: int) -> list[int]:
-    """Window primes of n that are 1 mod m, ascending; m = 1 gives them all."""
+    """Window primes of n that are 1 mod m, ascending; m = 1 gives them all.
+
+    A scan with more candidates than the whole window of ORDER_BOUND raises
+    OverflowError before any candidate is tested.
+    """
     lo = n - 2 * math.isqrt(n) - 1  # strictly below every window integer
     hi = n + 2 + 2 * math.isqrt(n) + 1
+    if (hi - lo) // m > _MAX_WINDOW_SCAN:
+        raise OverflowError(f"window scan of N = {n} for primes 1 mod {m} "
+                            f"exceeds {_MAX_WINDOW_SCAN} candidates")
     return [p for p in primes_in_ap(lo, hi, m, 1) if in_hasse_window(n, p)]
 
 
@@ -102,8 +109,6 @@ def m_of_order_by_primes(n: int) -> Fraction:
     """M(n) summed over the window primes of n."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if n > ORDER_BOUND:
-        raise OverflowError(f"order {n} exceeds the bound {ORDER_BOUND}")
     total = Fraction(0)
     for p in window_primes_in_class(n, 1):
         total += kronecker_class_number((p - 1 - n) ** 2 - 4 * n)

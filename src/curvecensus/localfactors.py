@@ -25,8 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import euler_phi, factorize, kronecker, primes_up_to, valuation
@@ -42,20 +41,15 @@ _TAIL_LOG_CONSTANT = 4.0
 
 @dataclass
 class LocalFactorTable:
-    """The truncated float product, its tail bound, and exact factors on demand."""
+    """The primes of a truncated float product, its value and its tail bound.
+
+    The exact factor at a prime is group_factor or order_factor.
+    """
 
     primes: tuple[int, ...]
     truncated_value: float
     cutoff: int
     tail_bound: float
-    rule: Callable[[int], Fraction] = field(repr=False, compare=False)
-
-    def factor_at(self, ell: int) -> Fraction:
-        """Exact factor at a prime ell of the product."""
-        i = bisect_left(self.primes, ell)
-        if i == len(self.primes) or self.primes[i] != ell:
-            raise ValueError(f"{ell} is not a prime of this product")
-        return self.rule(ell)
 
 
 def aut_order(m: int, k: int) -> int:
@@ -138,18 +132,18 @@ def _assemble(factor_at, n: int, cutoff: int) -> LocalFactorTable:
             floats.append(f.numerator / f.denominator)
     value = math.prod(floats, start=1.0)  # left to right, one rounding per factor
     tail = abs(value) * (math.exp(_TAIL_LOG_CONSTANT / cutoff) - 1.0)
-    return LocalFactorTable(primes + above, value, cutoff, tail, factor_at)
+    return LocalFactorTable(primes + above, value, cutoff, tail)
 
 
 def k_of_group(m: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> LocalFactorTable:
-    """Truncated shape constant with exact factors on demand and a tail bound."""
+    """Truncated shape constant and its tail bound."""
     if m < 1 or k < 1:
         raise ValueError(f"invalid shape ({m}, {k})")
     return _assemble(lambda ell: group_factor(m, k, ell), m * m * k, cutoff)
 
 
 def k_of_order(n: int, cutoff: int = DEFAULT_CUTOFF) -> LocalFactorTable:
-    """Truncated order constant with exact factors on demand and a tail bound."""
+    """Truncated order constant and its tail bound."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     return _assemble(lambda ell: order_factor(n, ell), n, cutoff)

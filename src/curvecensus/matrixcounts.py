@@ -6,22 +6,24 @@ valuation of n.  The count has a four-branch closed form stable in e once
 e exceeds v = valuation of N, and the stabilized density
 l^e #C / #GL2(Z/l^e) reproduces, prime by prime, the Euler factors of the
 order constant times N/phi(N) and (as a difference of two densities) of the
-shape constant times #G/#Aut.  Brute-force scans back every closed form.
+shape constant times #G/#Aut.  Exhaustive pure-Python scans, memoized as
+tuples, back every closed form.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .arith import is_prime, kronecker, primes_up_to, valuation
 from .errors import ConsistencyError
 from .localfactors import group_factor, order_factor
 
 BRUTE_BUDGET = 10**8
+# A query's l^e is at most 2^MODULUS_BITS; as l >= 2, e is checked before any power
+MODULUS_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,8 @@ class MatrixCountQuery:
             raise ValueError(f"exponent must be >= 1, got {self.e}")
         if not is_prime(self.ell):
             raise ValueError(f"{self.ell} is not prime")
+        if self.e > MODULUS_BITS or self.ell**self.e > 2**MODULUS_BITS:
+            raise ValueError(f"modulus {self.ell}^{self.e} exceeds 2^{MODULUS_BITS}")
 
 
 def gl2_order(ell: int, e: int) -> int:
@@ -60,9 +64,9 @@ def count_c_level_one(n: int, ell: int) -> int:
     )
 
 
-def _product_histogram(entries: np.ndarray, mod: int) -> np.ndarray:
-    """Index r gives #{(b, c) in entries^2 : bc = r mod `mod`}."""
-    return np.bincount((np.outer(entries, entries) % mod).ravel(), minlength=mod)
+def _product_histogram(entries: list[int] | range, mod: int) -> Counter:
+    """Key r counts the (b, c) in entries^2 with bc = r mod `mod`."""
+    return Counter(b * c % mod for b in entries for c in entries)
 
 
 def count_c_brute(q: MatrixCountQuery) -> int:
@@ -72,41 +76,39 @@ def count_c_brute(q: MatrixCountQuery) -> int:
     if u >= q.e:
         # sigma = I is the only candidate; det + 1 - tr = 0 there
         return 1 if q.n_order % mod == 0 else 0
-    return int(count_c_fibers(q.ell, q.e, u)[q.n_order % mod])
+    return count_c_fibers(q.ell, q.e, u)[q.n_order % mod]
 
 
 @functools.lru_cache(maxsize=None)
-def count_c_fibers(ell: int, e: int, u: int) -> np.ndarray:
+def count_c_fibers(ell: int, e: int, u: int) -> tuple[int, ...]:
     """All fiber counts at once: index t gives #{sigma : det+1-tr = t mod l^e}.
 
-    Counts sigma = I mod l^u exhaustively, using no closed form: the
-    products bc mod l^e are histogrammed once over the (b, c) grid, and for
-    each product r the (a, d) grid is binned by det + 1 - tr where
-    det = ad - r is a unit.  Memoized per (l, e, u); the array is read-only.
+    Counts sigma = I mod l^u exhaustively, using no closed form.  Writing
+    a = 1 + x and d = 1 + y gives det + 1 - tr = xy - bc and det = ad - bc,
+    so one histogram of (xy mod l^e, ad mod l) over the diagonal and one of
+    bc mod l^e over the off-diagonal give every fiber with det a unit.
+    Memoized per (l, e, u).
     """
     mod = ell**e
     if mod > BRUTE_BUDGET:
         raise ValueError(f"fiber array too long: {ell}^{e} > {BRUTE_BUDGET}")
-    out = np.zeros(mod, dtype=np.int64)
+    out = [0] * mod
     if u >= e:
         out[0] = 1
-    else:
-        step = ell**u
-        size = mod // step
-        if size**4 > BRUTE_BUDGET:
-            raise ValueError(f"enumeration budget exceeded: {size}^4 > {BRUTE_BUDGET}")
-        # entries: diagonal 1 + step*t, off-diagonal step*t, t mod size
-        off = step * np.arange(size, dtype=np.int64)
-        a, d = np.meshgrid((1 + off) % mod, (1 + off) % mod, indexing="ij")
-        ad = (a * d % mod).ravel()
-        one_minus_tr = (1 - a - d).ravel()
-        bc_counts = _product_histogram(off, mod)
-        for r in np.flatnonzero(bc_counts):
-            det = (ad - r) % mod
-            vals = (det + one_minus_tr)[det % ell != 0] % mod
-            out += bc_counts[r] * np.bincount(vals, minlength=mod)
-    out.flags.writeable = False
-    return out
+        return tuple(out)
+    step = ell**u
+    size = mod // step
+    if size**4 > BRUTE_BUDGET:
+        raise ValueError(f"enumeration budget exceeded: {size}^4 > {BRUTE_BUDGET}")
+    # x, y, b, c all run over the multiples of l^u mod l^e
+    off = [step * t for t in range(size)]
+    diagonal = Counter((x * y % mod, (1 + x) * (1 + y) % ell) for x in off for y in off)
+    products = _product_histogram(off, mod).items()
+    for (xy, ad), n_diag in diagonal.items():
+        for bc, n_off in products:
+            if (ad - bc) % ell:
+                out[(xy - bc) % mod] += n_diag * n_off
+    return tuple(out)
 
 
 def count_c_closed(q: MatrixCountQuery) -> int:
@@ -152,25 +154,23 @@ def det_count_closed(m_det: int, ell: int, e: int) -> int:
 
 def det_count_brute(m_det: int, ell: int, e: int) -> int:
     """Determinant fiber over Mat2(Z/l^e): one entry of the memoized histogram."""
-    return int(det_fibers(ell, e)[m_det % ell**e])
+    return det_fibers(ell, e)[m_det % ell**e]
 
 
 @functools.lru_cache(maxsize=None)
-def det_fibers(ell: int, e: int) -> np.ndarray:
+def det_fibers(ell: int, e: int) -> tuple[int, ...]:
     """Index t gives #{sigma in Mat2(Z/l^e) : det sigma = t}, counted exhaustively.
 
     With P the histogram of products bc over all (b, c), the pairs with
-    ad - bc = t number sum_y P[y] P[t + y].  Memoized per (l, e); the array
-    is read-only.
+    ad - bc = t number sum_y P[y] P[t + y].  Memoized per (l, e).
     """
     mod = ell**e
     if mod**4 > BRUTE_BUDGET:
         raise ValueError(f"enumeration budget exceeded: {mod}^4 > {BRUTE_BUDGET}")
-    residues = np.arange(mod, dtype=np.int64)
-    prod = _product_histogram(residues, mod)
-    out = prod @ prod[np.add.outer(residues, residues) % mod]
-    out.flags.writeable = False
-    return out
+    prod = _product_histogram(range(mod), mod)
+    return tuple(
+        sum(n * prod[(t + y) % mod] for y, n in prod.items()) for t in range(mod)
+    )
 
 
 def _density(n: int, u: int, ell: int) -> Fraction:

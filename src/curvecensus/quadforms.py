@@ -15,7 +15,9 @@ formula, and as a truncated Dirichlet series with a rigorous tail bound.
 
 Class data lives in one in-process store: a bulk table _h_table covering
 every |d| up to its limit, and a per-discriminant memo _cache for values
-computed one at a time.
+computed one at a time.  numpy is imported only inside the two functions
+that vectorize (the table sweep and the series), so importing this module
+does not load it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
-
-import numpy as np
 
 from .arith import kronecker, square_divisors
 
@@ -42,11 +42,11 @@ class LSeriesValue(NamedTuple):
 # Entries _h_table may hold (512 MiB of int64); larger limits are refused.
 CLASS_TABLE_CAP = 2**26
 
-# Memoized class data.  _h_table[|d|] covers every discriminant up to the
-# precomputed limit in one array; _cache holds individually computed
-# entries.  The package runs on one thread.
+# Memoized class data.  _h_table[|d|] (a numpy int64 array) covers every
+# discriminant up to the precomputed limit; _cache holds individually
+# computed entries.  The package runs on one thread.
 _cache: dict[int, ClassData] = {}
-_h_table: np.ndarray | None = None
+_h_table = None
 _h_table_limit = 0
 
 
@@ -113,6 +113,8 @@ def precompute_class_numbers(limit: int) -> None:
         raise ValueError(
             f"class-number table for |d| <= {limit} exceeds {CLASS_TABLE_CAP} entries"
         )
+    import numpy as np
+
     table = np.zeros(limit + 1, dtype=np.int64)
     a = 1
     while 3 * a * a <= limit:
@@ -194,15 +196,6 @@ def l_value_exact(d: int) -> float:
     return 2.0 * math.pi * h / (w * math.sqrt(-d))
 
 
-def _character_period(d: int) -> np.ndarray:
-    """(d/n) for n = 0 .. |d|-1; the symbol is periodic mod |d|."""
-    q = -d
-    vals = np.zeros(q, dtype=np.int8)
-    for n in range(1, q):
-        vals[n] = kronecker(d, n)
-    return vals
-
-
 # Partial-summation constant: tail of sum (d/n)/n beyond X is at most
 # 2*max_t |sum_{n<=t} (d/n)| / X, and Polya-Vinogradov bounds every partial
 # character sum (induced characters included) by sqrt(|d|)*log|d|.
@@ -212,12 +205,15 @@ _PV_CONSTANT = 2.0
 def l_value_series(d: int, x: int) -> LSeriesValue:
     """Partial sum of L(1, (d/.)) up to x, with a rigorous tail bound.
 
-    tail_bound = 2 * sqrt(|d|) * log|d| / x.
+    tail_bound = 2 * sqrt(|d|) * log|d| / x.  The symbol (d/n) is periodic
+    mod |d|, so one period is tabulated.
     """
     _require_discriminant(d)
     if x < -d:
         raise ValueError(f"series cutoff {x} is below |d| = {-d}")
-    period = _character_period(d)
+    import numpy as np
+
+    period = np.array([0] + [kronecker(d, n) for n in range(1, -d)], dtype=np.int8)
     n = np.arange(1, x + 1, dtype=np.int64)
     value = float(np.sum(period[n % (-d)] / n))
     tail = _PV_CONSTANT * math.sqrt(-d) * math.log(-d) / x

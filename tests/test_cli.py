@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -224,6 +226,50 @@ def test_class_table_cap_is_a_usage_error(capsys):
         assert code == cli.USAGE_ERROR, args
         assert out == ""
         assert err.startswith("error: class-number table") and err.count("\n") == 1
+
+
+def test_window_scan_bound_is_a_usage_error(capsys):
+    # Hasse windows of 4*10^7 candidates, ten times that of ORDER_BOUND
+    for args in (["constants", "--m", "1", "--k", "1", "--n", "100000000000000"],
+                 ["constants", "--m", "1", "--k", "100000000000000"]):
+        code = cli.main(args)
+        out, err = capsys.readouterr()
+        assert code == cli.USAGE_ERROR, args
+        assert out == ""
+        assert err.startswith("error: window scan") and err.count("\n") == 1
+
+
+def test_matrix_modulus_cap_is_a_usage_error(capsys):
+    # 2^(10^8) is refused before any power of l is built
+    code = cli.main(["matrix", "--n", "1", "--l", "2", "--e", "100000000"])
+    out, err = capsys.readouterr()
+    assert code == cli.USAGE_ERROR
+    assert out == ""
+    assert err == "error: modulus 2^100000000 exceeds 2^64\n"
+
+
+# Runs main in a fresh interpreter and reports, after the output, whether numpy was loaded.
+_NUMPY_PROBE = (
+    "import sys; from curvecensus.cli import main; code = main(sys.argv[1:]); "
+    "print('numpy' in sys.modules); sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize("args, loads_numpy", [
+    (["--help"], False),  # the import and the parser alone
+    (["constants", "--m", "2", "--k", "5", "--n", "77"], False),
+    (["matrix", "--n", "4", "--l", "3", "--e", "4"], False),
+    (["verify", "matrix"], False),
+    (["verify", "local"], False),
+    (["verify", "constants"], False),
+    (["verify", "oracle"], False),
+    (["mn", "--n", "100"], True),  # builds a class-number table
+])
+def test_numpy_is_imported_only_to_build_a_table(args, loads_numpy):
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loads_numpy)
 
 
 def test_out_file(capsys, tmp_path):

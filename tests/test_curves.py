@@ -86,6 +86,24 @@ def test_m_of_group_bound_guard():
         m_of_group(1, 2**41)
 
 
+def test_window_scan_bound(monkeypatch):
+    # the whole window of ORDER_BOUND is the widest scan allowed
+    lo, hi = curves.ORDER_BOUND - 2**21 - 1, curves.ORDER_BOUND + 2**21 + 3
+    assert hi - lo == curves._MAX_WINDOW_SCAN
+
+    def refuse(*args):
+        raise AssertionError("a candidate was tested")
+
+    monkeypatch.setattr(curves, "primes_in_ap", refuse)
+    for n, m in [(2**41, 1), (10**14, 1), (10**14, 9)]:
+        with pytest.raises(OverflowError):
+            window_primes_in_class(n, m)
+    with pytest.raises(OverflowError):
+        curves.m_of_order_by_primes(2**41)
+    with pytest.raises(OverflowError):
+        eta_statistic(10**14)
+
+
 def test_m_p_of_order_examples():
     assert m_p_of_order(4, 1, 3) == Fraction(2, 3)
     assert m_p_of_order(4, 2, 3) == Fraction(1, 6)

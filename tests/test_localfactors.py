@@ -43,15 +43,14 @@ def test_order_factor_branches():
 def test_truncated_tables():
     t = lf.k_of_group(1, 1, cutoff=1000)
     assert t.cutoff == 1000
-    assert all(t.factor_at(ell) > 0 for ell in t.primes)
+    assert all(lf.group_factor(1, 1, ell) > 0 for ell in t.primes)
     assert list(t.primes) == sorted(t.primes)
     assert 0 < t.truncated_value < 3
     t4 = lf.k_of_order(4, cutoff=1000)
-    assert t4.factor_at(2) == Fraction(3, 4)
+    assert 2 in t4.primes and lf.order_factor(4, 2) == Fraction(3, 4)
     with pytest.raises(ValueError):
         lf.k_of_group(1, 1, cutoff=99)
-    with pytest.raises(ValueError):
-        t4.factor_at(4)  # not a prime of the product
+    assert 4 not in t4.primes  # not a prime of the product
     # a prime of N above the cutoff is part of the product
     assert lf.k_of_group(3, 2003, cutoff=1000).primes[-1] == 2003
     assert 1009 not in lf.k_of_order(1010, cutoff=1000).primes  # 1009 | N - 1 only

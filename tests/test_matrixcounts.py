@@ -74,7 +74,7 @@ def test_count_c_brute_reads_the_fiber_scan():
 
 def test_fiber_arrays_are_read_only():
     fibers = mc.count_c_fibers(2, 2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         fibers[0] = 0
     assert mc.count_c_fibers(2, 2, 0)[0] == mc.count_c_brute(Q(4, 1, 2, 2))
 
@@ -131,8 +131,8 @@ def test_det_count_routes_agree():
 def test_det_fiber_arrays_cover_every_matrix():
     for ell, e in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]:
         fibers = mc.det_fibers(ell, e)
-        assert int(fibers.sum()) == ell ** (4 * e), (ell, e)
-        with pytest.raises(ValueError):
+        assert sum(fibers) == ell ** (4 * e), (ell, e)
+        with pytest.raises(TypeError):
             fibers[0] = 0
     assert mc.det_count_brute(5, 3, 0) == 1  # Mat2(Z/1)
     with pytest.raises(ValueError):
@@ -163,7 +163,7 @@ def test_density_stabilizes_in_brute_force():
 
 def test_fiber_partition():
     for ell, e in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]:
-        assert mc.count_c_fibers(ell, e, 0).sum() == mc.gl2_order(ell, e), (ell, e)
+        assert sum(mc.count_c_fibers(ell, e, 0)) == mc.gl2_order(ell, e), (ell, e)
 
 
 def test_kn_interpretation():
@@ -195,3 +195,10 @@ def test_query_validation():
         Q(4, 1, 4, 1)  # 4 not prime
     with pytest.raises(ValueError):
         Q(4, 1, 2, 0)
+
+
+def test_query_modulus_cap():
+    assert Q(1, 1, 2, 64).e == 64  # l^e = 2^64 is the largest modulus
+    for ell, e in [(2, 65), (3, 41), (2, 10**8), (2, 10**18)]:
+        with pytest.raises(ValueError, match="exceeds 2\\^64"):
+            Q(1, 1, ell, e)
