@@ -62,7 +62,6 @@ from .quadforms import (
     kronecker_class_number_weighted,
     l_value_exact,
     l_value_series,
-    precompute_class_numbers,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_LIMIT = 10**6
 
-# Largest sieve bound (a 64 MiB bytearray), the same figure as quadforms.CLASS_TABLE_CAP.
+# Largest sieve bound (a 64 MiB bytearray), the same figure as quadforms.CLASS_SCAN_CAP.
 SIEVE_CAP = 2**26
 
 

@@ -6,16 +6,16 @@ count), verify (dual-route suites).  Output is CSV or JSON with a fixed
 column order and floats printed to 10 significant digits, so identical
 invocations are byte-identical.  Everything runs on one thread; --threads
 is accepted, validated and echoed in the JSON config for compatibility, and
-changes neither the work nor the output.  Class numbers are tabulated in
-memory for each run by mg, mn, grid and verify identity, the only commands
-that import numpy; nothing is cached on disk.
+changes neither the work nor the output.  Class numbers are counted per
+discriminant on first use and memoized in memory for the run; nothing is
+cached on disk, and no command imports numpy.
 
 The argparse parser is the only place input is checked and the only
 dispatch table: its type converters bound every number and path, and each
 subcommand names its cmd_* function.  Exit codes: 0 success (and --help),
 1 verification mismatch or disagreeing computation routes, 2 usage error.
 Every usage error, whether from the parser, an unwritable output path, a
-class-number table above its cap or a prime sieve above its cap, is one
+class-number scan above its cap or a prime sieve above its cap, is one
 `error: ...` line on stderr.
 """
 
@@ -30,7 +30,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import curves, localfactors, matrixcounts, quadforms
+from . import curves, localfactors, matrixcounts
 from .arith import is_prime, primes_up_to, valuation
 from .errors import ConsistencyError
 
@@ -104,11 +104,7 @@ def _main_term_cells(m: int, k: int, total: Fraction, cutoff: int):
 def cmd_mg(args) -> int:
     m, k = args.m, args.k
     n = m * m * k
-    quadforms.precompute_class_numbers(max(4 * k + 4, 16))
-    terms = [
-        (p, curves.m_p_of_group(m, k, p)) for p in curves.window_primes_in_class(n, m)
-    ]
-    total = sum((t for _, t in terms), Fraction(0))
+    total = curves.m_of_group(m, k)
     aut, table, main_s, ratio_s = _main_term_cells(m, k, total, args.cutoff)
     summary = {
         "m": m,
@@ -125,7 +121,10 @@ def cmd_mg(args) -> int:
     }
     if args.per_prime:
         columns = ["p", "term", "term_decimal"]
-        rows = [[p, _fmt_frac(t), _fmt_float(float(t))] for p, t in terms]
+        rows = []
+        for p in curves.window_primes_in_class(n, m):
+            t = curves.m_p_of_group(m, k, p)  # each class number is memoized by now
+            rows.append([p, _fmt_frac(t), _fmt_float(float(t))])
     else:
         columns = list(summary.keys())
         rows = [list(summary.values())]
@@ -135,11 +134,9 @@ def cmd_mg(args) -> int:
 
 def cmd_mn(args) -> int:
     n = args.n
-    quadforms.precompute_class_numbers(max(4 * n + 4, 16))
-    shapes = curves.order_decomposition(n)
-    terms = [(m, k, curves.m_of_group(m, k)) for m, k in shapes]
+    by_primes = curves.m_of_order_by_primes(n)  # refuses an n above the scan cap first
+    terms = [(m, k, curves.m_of_group(m, k)) for m, k in curves.order_decomposition(n)]
     total = sum((t for _, _, t in terms), Fraction(0))
-    by_primes = curves.m_of_order_by_primes(n)
     if by_primes != total:
         raise ConsistencyError(
             f"M({n}) routes disagree: {by_primes} by primes, {total} by shapes"
@@ -165,7 +162,7 @@ def cmd_mn(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    quadforms.precompute_class_numbers(max(4 * args.kmax + 4, 16))
+    curves.require_scannable(args.kmax)  # refuse the rectangle before its first row
     rows = []
     for m in range(1, args.mmax + 1):
         for k in range(1, args.kmax + 1):
@@ -350,7 +347,6 @@ def _suite_constants(nmax: int, mmax: int, kmax: int, lmax: int) -> list[list]:
 
 
 def _suite_identity(nmax: int) -> list[list]:
-    quadforms.precompute_class_numbers(4 * nmax + 16)
     rows = []
     for n in range(1, nmax + 1):
         by_primes, by_shapes = curves.m_of_order_routes(n)

@@ -23,7 +23,11 @@ from typing import NamedTuple
 
 from .arith import euler_phi, factorize, is_prime, mobius, primes_in_ap, square_divisors
 from .errors import ConsistencyError
-from .quadforms import kronecker_class_number, kronecker_class_number_restricted
+from .quadforms import (
+    CLASS_SCAN_CAP,
+    kronecker_class_number,
+    kronecker_class_number_restricted,
+)
 
 ORDER_BOUND = 2**40
 # candidates in the whole Hasse window of ORDER_BOUND, the widest scan allowed
@@ -72,11 +76,26 @@ def m_p_of_group(m: int, k: int, p: int) -> Fraction:
     return kronecker_class_number_restricted(trace_discriminant(m, k, p), k)
 
 
+def require_scannable(k: int) -> None:
+    """Refuse a window sum over discriminants |d| <= 4k before it starts.
+
+    Applies to the shape parameter k of m_of_group and to the order of
+    m_of_order_by_primes: 4k + 4 at or above quadforms.CLASS_SCAN_CAP raises
+    ValueError before any class number is computed.
+    """
+    if 4 * k + 4 >= CLASS_SCAN_CAP:
+        raise ValueError(
+            f"class numbers for |d| <= {4 * k + 4} reach the scan cap {CLASS_SCAN_CAP}"
+        )
+
+
 def m_of_group(m: int, k: int) -> Fraction:
     """Weighted count over all primes: sum of m_p_of_group over the window."""
     n = m * m * k
+    primes = window_primes_in_class(n, m)
+    require_scannable(k)
     total = Fraction(0)
-    for p in window_primes_in_class(n, m):
+    for p in primes:
         total += kronecker_class_number_restricted(trace_discriminant(m, k, p), k)
     return total
 
@@ -109,8 +128,10 @@ def m_of_order_by_primes(n: int) -> Fraction:
     """M(n) summed over the window primes of n."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
+    primes = window_primes_in_class(n, 1)
+    require_scannable(n)
     total = Fraction(0)
-    for p in window_primes_in_class(n, 1):
+    for p in primes:
         total += kronecker_class_number((p - 1 - n) ** 2 - 4 * n)
     return total
 

@@ -76,23 +76,29 @@ def count_c_brute(q: MatrixCountQuery) -> int:
     if u >= q.e:
         # sigma = I is the only candidate; det + 1 - tr = 0 there
         return 1 if q.n_order % mod == 0 else 0
-    return count_c_fibers(q.ell, q.e, u)[q.n_order % mod]
+    fibers = count_c_fibers(q.ell, q.e, u)  # raises past either budget
+    t = q.n_order % mod
+    g = q.ell ** min(2 * u, q.e)
+    return 0 if t % g else fibers[t // g]
 
 
 @functools.lru_cache(maxsize=None)
 def count_c_fibers(ell: int, e: int, u: int) -> tuple[int, ...]:
-    """All fiber counts at once: index t gives #{sigma : det+1-tr = t mod l^e}.
+    """All fiber counts at once: index i gives #{sigma : det+1-tr = i g mod l^e}.
 
     Counts sigma = I mod l^u exhaustively, using no closed form.  Writing
     a = 1 + x and d = 1 + y gives det + 1 - tr = xy - bc and det = ad - bc,
     so one histogram of (xy mod l^e, ad mod l) over the diagonal and one of
-    bc mod l^e over the off-diagonal give every fiber with det a unit.
-    Memoized per (l, e, u).
+    bc mod l^e over the off-diagonal give every fiber with det a unit.  As
+    x, y, b, c are multiples of l^u, only residues t divisible by
+    g = l^min(2u, e) can be hit, so the tuple holds l^e / g entries, the
+    fiber of t at t // g (every fiber at u = 0).  Memoized per (l, e, u).
     """
     mod = ell**e
     if mod > BRUTE_BUDGET:
         raise ValueError(f"fiber array too long: {ell}^{e} > {BRUTE_BUDGET}")
-    out = [0] * mod
+    g = ell ** min(2 * u, e)
+    out = [0] * (mod // g)
     if u >= e:
         out[0] = 1
         return tuple(out)
@@ -107,7 +113,7 @@ def count_c_fibers(ell: int, e: int, u: int) -> tuple[int, ...]:
     for (xy, ad), n_diag in diagonal.items():
         for bc, n_off in products:
             if (ad - bc) % ell:
-                out[(xy - bc) % mod] += n_diag * n_off
+                out[(xy - bc) % mod // g] += n_diag * n_off
     return tuple(out)
 
 

@@ -13,10 +13,11 @@ both routes are exposed and must agree.
 L(1, (d/.)) is available two ways: exactly through the class number
 formula, and as a truncated Dirichlet series with a rigorous tail bound.
 
-Class data lives in one in-process store: a bulk table _h_table covering
-every |d| up to its limit, and a per-discriminant memo _cache for values
-computed one at a time.  numpy is imported only inside the two functions
-that vectorize (the table sweep and the series), so importing this module
+Class data lives in one in-process store, the per-discriminant memo
+_cache: class_data counts the primitive reduced forms of each discriminant
+b by b on first use.  reduced_forms, the enumeration by a, is the
+independent walk behind the weighted route.  numpy is imported only inside
+the series l_value_series, a test-time oracle, so importing this module
 does not load it.
 """
 
@@ -39,13 +40,12 @@ class LSeriesValue(NamedTuple):
     tail_bound: float
 
 
-# Entries _h_table may hold (512 MiB of int64); larger limits are refused.
-CLASS_TABLE_CAP = 2**26
+# class_data refuses to scan any |d| at or above this bound.
+CLASS_SCAN_CAP = 2**26
 
-# Memoized class data.  _h_table[|d|] (a numpy int64 array) covers every
-# discriminant up to the precomputed limit; _cache holds individually
-# computed entries.  The package runs on one thread.
+# Memoized class data, one entry per discriminant.  The package runs on one thread.
 _cache: dict[int, ClassData] = {}
+# Always empty: perfbench/tracer.py reads these two names to count table hits.
 _h_table = None
 _h_table_limit = 0
 
@@ -85,62 +85,29 @@ def reduced_forms(d: int) -> Iterator[tuple[int, int, int]]:
 
 
 def class_data(d: int) -> ClassData:
-    """Class number and unit count of the order of discriminant d."""
+    """Class number and unit count of the order of discriminant d, memoized.
+
+    Counts the primitive reduced forms (a, b, c) b by b: for each
+    b = d (mod 2) with 3b^2 <= |d|, every divisor a of q = (b^2 - d)/4 with
+    b <= a <= q/a gives one class, or two, (a, +-b, c), unless b = 0,
+    a = b or a = c (Cohen, GTM 138, Algorithm 5.3.5).  |d| at or above
+    CLASS_SCAN_CAP raises ValueError before the scan.
+    """
     _require_discriminant(d)
-    if _h_table is not None and -d <= _h_table_limit:
-        return ClassData(int(_h_table[-d]), _unit_count(d))
+    if -d >= CLASS_SCAN_CAP:
+        raise ValueError(f"class-number scan of |d| = {-d} reaches the cap {CLASS_SCAN_CAP}")
     hit = _cache.get(d)
     if hit is not None:
         return hit
-    h = sum(1 for a, b, c in reduced_forms(d) if math.gcd(math.gcd(a, b), c) == 1)
+    h = 0
+    for b in range(d % 2, math.isqrt(-d // 3) + 1, 2):
+        q = (b * b - d) // 4
+        for a in range(max(b, 1), math.isqrt(q) + 1):
+            if q % a == 0 and math.gcd(a, b, q // a) == 1:
+                h += 1 if b == 0 or a == b or a * a == q else 2
     out = ClassData(h, _unit_count(d))
     _cache[d] = out
     return out
-
-
-def precompute_class_numbers(limit: int) -> None:
-    """Tabulate h(d) for all discriminants with |d| <= limit in one sweep.
-
-    Enumerates every reduced form with |disc| <= limit ordered by (a, b) and
-    scatters counts of the primitive ones; O(limit^1.5) work, vectorized.
-    A limit whose table would exceed CLASS_TABLE_CAP entries raises
-    ValueError before anything is allocated.
-    """
-    global _h_table, _h_table_limit
-    if limit <= _h_table_limit:
-        return
-    if limit >= CLASS_TABLE_CAP:
-        raise ValueError(
-            f"class-number table for |d| <= {limit} exceeds {CLASS_TABLE_CAP} entries"
-        )
-    import numpy as np
-
-    table = np.zeros(limit + 1, dtype=np.int64)
-    a = 1
-    while 3 * a * a <= limit:
-        four_a = 4 * a
-        for b in range(a + 1):
-            cmax = (limit + b * b) // four_a
-            if cmax < a:
-                continue
-            c = np.arange(a, cmax + 1, dtype=np.int64)
-            absd = four_a * c - b * b
-            g = math.gcd(a, b)
-            if g == 1:
-                primitive = np.ones(len(c), dtype=bool)
-            else:
-                primitive = np.gcd(c, g) == 1
-            if b == 0 or b == a:
-                # (a, -b, c) is not reduced (or coincides): weight 1 each.
-                np.add.at(table, absd[primitive], 1)
-            else:
-                # c == a (first entry) gives one class; c > a gives (a, +-b, c).
-                weights = np.full(len(c), 2, dtype=np.int64)
-                weights[0] = 1
-                np.add.at(table, absd[primitive], weights[primitive])
-        a += 1
-    _h_table = table
-    _h_table_limit = limit
 
 
 def kronecker_class_number(d: int) -> Fraction:
@@ -206,7 +173,8 @@ def l_value_series(d: int, x: int) -> LSeriesValue:
     """Partial sum of L(1, (d/.)) up to x, with a rigorous tail bound.
 
     tail_bound = 2 * sqrt(|d|) * log|d| / x.  The symbol (d/n) is periodic
-    mod |d|, so one period is tabulated.
+    mod |d|, so one period is tabulated.  This oracle needs numpy, which is
+    a dependency of the test extra only, not of the package.
     """
     _require_discriminant(d)
     if x < -d:

@@ -32,7 +32,6 @@ def criterion(num: int, desc: str):
 def test_criterion_1_oracle_equivalence():
     with criterion(1, "curve oracle equals class-number formula, p <= 61"):
         t0 = time.time()
-        quadforms.precompute_class_numbers(16 * 61 + 64)
         compared = 0
         for p in primes_up_to(61):
             tally = curves.brute_force_tally(p)
@@ -52,7 +51,6 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_decomposition_identity():
     with criterion(2, "order-count routes agree for N <= 5000"):
         t0 = time.time()
-        quadforms.precompute_class_numbers(4 * 5000 + 16)
         for n in range(1, 5001):
             by_primes, by_shapes = curves.m_of_order_routes(n)
             assert by_primes == by_shapes, n
@@ -140,7 +138,6 @@ def test_criterion_7_class_number_formula():
 def test_criterion_8_main_term_sanity():
     with criterion(8, "ratio to conjectural main term, seed-0 sample"):
         t0 = time.time()
-        quadforms.precompute_class_numbers(4 * 10**5 + 16)
         rng = random.Random(0)
         shapes = [(rng.randint(1, 3), rng.randint(10**4, 10**5)) for _ in range(50)]
         ratios = []

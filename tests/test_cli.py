@@ -9,7 +9,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from curvecensus import cli, curves
+from curvecensus import cli, curves, quadforms
 
 
 def run_cli(capsys, args):
@@ -218,14 +218,22 @@ def test_sieve_cap_is_a_usage_error(capsys):
         assert err.startswith("error: prime sieve") and err.count("\n") == 1
 
 
-def test_class_table_cap_is_a_usage_error(capsys):
-    # tables of 4*10^14 and 4*10^13 entries: refused before any allocation
-    for args in (["mn", "--n", "100000000000000"], ["mg", "--m", "1", "--k", "10000000000000"]):
+def test_class_scan_cap_is_a_usage_error(capsys):
+    # window discriminants up to 4*10^14, 4*10^13 and 8*10^7: refused before any class
+    # number, the first two by the wider window scan bound, which is checked first
+    window, scan = "error: window scan", "error: class numbers for |d| <= "
+    for args, prefix in ((["mn", "--n", "100000000000000"], window),
+                         (["mg", "--m", "1", "--k", "10000000000000"], window),
+                         (["mn", "--n", "20000000"], scan),
+                         (["mg", "--m", "1", "--k", "20000000"], scan),
+                         (["grid", "--mmax", "1", "--kmax", "20000000"], scan)):
+        cached = set(quadforms._cache)
         code = cli.main(args)
         out, err = capsys.readouterr()
         assert code == cli.USAGE_ERROR, args
         assert out == ""
-        assert err.startswith("error: class-number table") and err.count("\n") == 1
+        assert err.startswith(prefix) and err.count("\n") == 1, args
+        assert set(quadforms._cache) == cached, args
 
 
 def test_window_scan_bound_is_a_usage_error(capsys):
@@ -253,6 +261,11 @@ _NUMPY_PROBE = (
     "import sys; from curvecensus.cli import main; code = main(sys.argv[1:]); "
     "print('numpy' in sys.modules); sys.exit(code)"
 )
+# The same report after the L(1) series, which tabulates one character period with numpy.
+_NUMPY_CONTROL = (
+    "import sys; from curvecensus import quadforms; quadforms.l_value_series(-4, 10); "
+    "print('numpy' in sys.modules)"
+)
 
 
 @pytest.mark.parametrize("args, loads_numpy", [
@@ -263,13 +276,23 @@ _NUMPY_PROBE = (
     (["verify", "local"], False),
     (["verify", "constants"], False),
     (["verify", "oracle"], False),
-    (["mn", "--n", "100"], True),  # builds a class-number table
+    (["mn", "--n", "100"], False),
+    (["mg", "--m", "2", "--k", "30", "--per-prime"], False),
+    (["grid", "--mmax", "2", "--kmax", "4"], False),
+    (["verify", "identity", "--nmax", "50"], False),
 ])
 def test_numpy_is_imported_only_to_build_a_table(args, loads_numpy):
+    # no command imports numpy: only l_value_series does, to tabulate a character period
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *args],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == str(loads_numpy)
+
+
+def test_numpy_probe_sees_the_l_value_series():
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_CONTROL], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True"
 
 
 def test_out_file(capsys, tmp_path):

@@ -21,10 +21,6 @@ from curvecensus.curves import (
 )
 
 
-def setup_module():
-    quadforms.precompute_class_numbers(4 * 1200)
-
-
 def test_hasse_window_examples():
     assert window_primes_in_class(1, 1) == [2, 3]
     assert window_primes_in_class(4, 1) == [2, 3, 5, 7]
@@ -104,6 +100,16 @@ def test_window_scan_bound(monkeypatch):
         eta_statistic(10**14)
 
 
+def test_window_sums_refuse_the_scan_cap_up_front():
+    k = (quadforms.CLASS_SCAN_CAP - 4) // 4  # the least k with 4k + 4 at the cap
+    cached = set(quadforms._cache)
+    with pytest.raises(ValueError, match="scan cap"):
+        m_of_group(1, k)
+    with pytest.raises(ValueError, match="scan cap"):
+        curves.m_of_order_by_primes(k)
+    assert set(quadforms._cache) == cached
+
+
 def test_m_p_of_order_examples():
     assert m_p_of_order(4, 1, 3) == Fraction(2, 3)
     assert m_p_of_order(4, 2, 3) == Fraction(1, 6)
@@ -132,7 +138,6 @@ def test_inclusion_exclusion_examples():
 
 
 def test_inclusion_exclusion_matches_group_count():
-    quadforms.precompute_class_numbers(4 * 2000 + 16)
     for n in range(1, 2001):
         for m, k in curves.order_decomposition(n):
             for p in curves.window_primes_in_class(n, m):

@@ -61,14 +61,21 @@ def test_class_data_rejects_non_discriminants():
             class_data(bad)
 
 
+def test_class_data_refuses_the_scan_cap():
+    for d in (-quadforms.CLASS_SCAN_CAP, -(10**15)):
+        with pytest.raises(ValueError, match="cap"):
+            class_data(d)
+        assert d not in quadforms._cache
+
+
 def test_class_number_against_reduction_oracle():
     for d in range(-200, 0):
         if d % 4 in (0, 1):
             assert class_data(d).h == _class_number_oracle(d), d
 
 
-def test_precomputed_table_matches_per_discriminant():
-    quadforms.precompute_class_numbers(2000)
+def test_class_data_matches_reduced_form_count():
+    # the count by b against the primitive forms of the enumeration by a
     for d in range(-2000, 0):
         if d % 4 not in (0, 1):
             continue
@@ -94,14 +101,12 @@ def test_restricted_examples():
 
 
 def test_restriction_at_one_is_unrestricted():
-    quadforms.precompute_class_numbers(10**4)
     for d in range(-(10**4), 0):
         if d % 4 in (0, 1):
             assert kronecker_class_number_restricted(d, 1) == kronecker_class_number(d)
 
 
 def test_weighted_enumeration_agrees_with_level_sum():
-    quadforms.precompute_class_numbers(5000)
     for d in range(-5000, 0):
         if d % 4 not in (0, 1):
             continue
