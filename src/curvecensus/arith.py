@@ -3,7 +3,11 @@
 Everything here is pure and deterministic: primality uses a fixed
 Miller-Rabin witness set valid for all 64-bit integers, and factorization
 uses trial division followed by Brent's cycle method with a fixed seed
-sequence.
+sequence.  Primes in arithmetic progressions come from a sieve of the
+progression by the base primes up to its square root; is_prime serves
+single numbers and is the sieve's test oracle.  The square divisors of each
+n are memoized (bounded), since every window sum asks for those of the same
+discriminants more than once.
 """
 
 from __future__ import annotations
@@ -191,12 +195,17 @@ def valuation(ell: int, n: int) -> int:
     return v
 
 
-def square_divisors(n: int) -> list[int]:
-    """All f >= 1 with f**2 | n, ascending."""
+@functools.lru_cache(maxsize=4096)
+def _square_divisors(n: int) -> tuple[int, ...]:
     out = [1]
     for p, e in factorize(n).factors:
         out = [d * p**j for d in out for j in range(e // 2 + 1)]
-    return sorted(out)
+    return tuple(sorted(out))
+
+
+def square_divisors(n: int) -> list[int]:
+    """All f >= 1 with f**2 | n, ascending (a fresh list; memoized per n)."""
+    return list(_square_divisors(n))
 
 
 @functools.lru_cache(maxsize=16)
@@ -226,15 +235,35 @@ def primes_in_ap(lo: int, hi: int, m: int, a: int) -> list[int]:
     """Primes p with lo < p < hi and p == a (mod m), ascending.
 
     Bounds are strict on both sides; the empty list is a normal result.
+    Sieves the progression by the primes q <= B, one slice assignment per q
+    striking the multiples of q other than q itself, where B is sqrt(hi - 1)
+    or the number of terms, whichever is less.  A survivor below (B + 1)^2
+    is prime; one above it, left only in a progression with fewer terms than
+    sqrt(hi - 1), is confirmed by is_prime.
     """
     if m < 1:
         raise ValueError(f"primes_in_ap: modulus must be >= 1, got {m}")
     if lo > hi:
         raise ValueError(f"primes_in_ap: lo={lo} exceeds hi={hi}")
     a %= m
+    lo = max(lo, 1)
+    g = math.gcd(a, m)
+    if g > 1:
+        # every term is a multiple of g, so g itself is the only candidate
+        return [g] if lo < g < hi and g % m == a and is_prime(g) else []
     start = lo + 1 + (a - (lo + 1)) % m
-    out = []
-    for p in range(start, hi, m):
-        if p >= 2 and is_prime(p):
-            out.append(p)
-    return out
+    count = len(range(start, hi, m))
+    if not count:
+        return []
+    bound = min(math.isqrt(hi - 1), count)
+    alive = bytearray([1]) * count
+    for q in _primes_tuple(bound):
+        if m % q == 0:
+            continue  # no term is a multiple of q, since gcd(a, m) = 1
+        i = -start * pow(m, -1, q) % q  # first term divisible by q
+        if start + i * m == q:
+            i += q
+        alive[i::q] = bytes(len(range(i, count, q)))
+    sure = (bound + 1) ** 2
+    return [p for p in (start + i * m for i in range(count) if alive[i])
+            if p < sure or is_prime(p)]

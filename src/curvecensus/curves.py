@@ -25,6 +25,7 @@ from .arith import euler_phi, factorize, is_prime, mobius, primes_in_ap, square_
 from .errors import ConsistencyError
 from .quadforms import (
     CLASS_SCAN_CAP,
+    class_number_twelfths,
     kronecker_class_number,
     kronecker_class_number_restricted,
 )
@@ -90,14 +91,31 @@ def require_scannable(k: int) -> None:
 
 
 def m_of_group(m: int, k: int) -> Fraction:
-    """Weighted count over all primes: sum of m_p_of_group over the window."""
+    """Weighted count over all primes: sum of m_p_of_group over the window.
+
+    Both bounds are checked before any candidate is tested: the window scan
+    (OverflowError), then the class-number scan cap (ValueError).
+    """
     n = m * m * k
-    primes = window_primes_in_class(n, m)
+    _window_range(n, m)
     require_scannable(k)
-    total = Fraction(0)
-    for p in primes:
-        total += kronecker_class_number_restricted(trace_discriminant(m, k, p), k)
-    return total
+    twelfths = sum(class_number_twelfths(trace_discriminant(m, k, p), k)
+                   for p in window_primes_in_class(n, m))
+    return Fraction(twelfths, 12)
+
+
+def _window_range(n: int, m: int) -> tuple[int, int]:
+    """Strict bounds (lo, hi) around the window integers of n.
+
+    A scan with more candidates than the whole window of ORDER_BOUND raises
+    OverflowError.
+    """
+    lo = n - 2 * math.isqrt(n) - 1  # strictly below every window integer
+    hi = n + 2 + 2 * math.isqrt(n) + 1
+    if (hi - lo) // m > _MAX_WINDOW_SCAN:
+        raise OverflowError(f"window scan of N = {n} for primes 1 mod {m} "
+                            f"exceeds {_MAX_WINDOW_SCAN} candidates")
+    return lo, hi
 
 
 def window_primes_in_class(n: int, m: int) -> list[int]:
@@ -106,11 +124,7 @@ def window_primes_in_class(n: int, m: int) -> list[int]:
     A scan with more candidates than the whole window of ORDER_BOUND raises
     OverflowError before any candidate is tested.
     """
-    lo = n - 2 * math.isqrt(n) - 1  # strictly below every window integer
-    hi = n + 2 + 2 * math.isqrt(n) + 1
-    if (hi - lo) // m > _MAX_WINDOW_SCAN:
-        raise OverflowError(f"window scan of N = {n} for primes 1 mod {m} "
-                            f"exceeds {_MAX_WINDOW_SCAN} candidates")
+    lo, hi = _window_range(n, m)
     return [p for p in primes_in_ap(lo, hi, m, 1) if in_hasse_window(n, p)]
 
 
@@ -125,15 +139,14 @@ def m_p_of_order(n: int, nt: int, p: int) -> Fraction:
 
 
 def m_of_order_by_primes(n: int) -> Fraction:
-    """M(n) summed over the window primes of n."""
+    """M(n) summed over the window primes of n, bounds checked first."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    primes = window_primes_in_class(n, 1)
+    _window_range(n, 1)
     require_scannable(n)
-    total = Fraction(0)
-    for p in primes:
-        total += kronecker_class_number((p - 1 - n) ** 2 - 4 * n)
-    return total
+    twelfths = sum(class_number_twelfths((p - 1 - n) ** 2 - 4 * n, 1)
+                   for p in window_primes_in_class(n, 1))
+    return Fraction(twelfths, 12)
 
 
 def m_of_order_routes(n: int) -> tuple[Fraction, Fraction]:

@@ -4,7 +4,9 @@ A negative discriminant d (d < 0, d = 0 or 1 mod 4) has class number h(d) =
 number of primitive reduced forms (a, b, c) with b^2 - 4ac = d, and unit
 count w(d) = 6, 4, 2 for d = -3, -4, anything else.  The weighted class
 number H(D) sums h(D/f^2)/w(D/f^2) over all f with f^2 | D and D/f^2 still a
-discriminant; H_k(D) additionally requires gcd(f, k) = 1.  H_k(D) is also
+discriminant; H_k(D) additionally requires gcd(f, k) = 1.  Every w divides
+12, so class_number_twelfths returns the integer 12 H_k(D), the form window
+sums add before they divide by 12 once.  H_k(D) is also
 computable in a single pass over all reduced forms of discriminant D
 (imprimitive ones included), weighting a form of content f by 1/4 when it is
 f*(x^2 + y^2), by 1/6 when it is f*(x^2 + xy + y^2), and by 1/2 otherwise;
@@ -117,10 +119,18 @@ def kronecker_class_number(d: int) -> Fraction:
 
 def kronecker_class_number_restricted(d: int, k: int) -> Fraction:
     """H_k(d): the H(d) sum restricted to levels f with gcd(f, k) = 1."""
+    return Fraction(class_number_twelfths(d, k), 12)
+
+
+def class_number_twelfths(d: int, k: int) -> int:
+    """12 H_k(d), an integer: each w(d/f^2) in {2, 4, 6} divides 12.
+
+    Window sums add these and divide by 12 once, instead of adding Fractions.
+    """
     _require_discriminant(d)
     if k < 1:
         raise ValueError(f"restriction parameter must be >= 1, got {k}")
-    total = Fraction(0)
+    total = 0
     for f in square_divisors(-d):
         if math.gcd(f, k) != 1:
             continue
@@ -128,7 +138,7 @@ def kronecker_class_number_restricted(d: int, k: int) -> Fraction:
         if d0 % 4 not in (0, 1):
             continue
         h, w = class_data(d0)
-        total += Fraction(h, w)
+        total += h * (12 // w)
     return total
 
 

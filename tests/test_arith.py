@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from curvecensus import arith
+from curvecensus import arith, curves
 
 
 # Reference Kronecker symbol built independently: Euler criterion at odd
@@ -134,6 +134,9 @@ def test_square_divisors():
     assert arith.square_divisors(1) == [1]
     assert arith.square_divisors(12) == [1, 2]
     assert arith.square_divisors(144) == [1, 2, 3, 4, 6, 12]
+    # memoized per n, but every call returns a list of its own
+    arith.square_divisors(144).append(0)
+    assert arith.square_divisors(144) == [1, 2, 3, 4, 6, 12]
 
 
 def test_primes_up_to():
@@ -157,12 +160,36 @@ def test_primes_in_ap_examples():
     assert arith.primes_in_ap(100, 144, 11, 1) == []
 
 
+def _primes_in_ap_by_scan(lo, hi, m, a):
+    return [p for p in range(max(2, lo + 1), hi) if p % m == a % m and arith.is_prime(p)]
+
+
 def test_primes_in_ap_against_scan():
-    for lo, hi, m, a in [(0, 200, 1, 0), (50, 300, 4, 3), (10, 40, 6, 1),
-                         (0, 100, 5, 2), (961, 1100, 7, 0), (13, 13, 3, 1)]:
-        want = [p for p in range(max(2, lo + 1), hi)
-                if lo < p < hi and p % m == a % m and arith.is_prime(p)]
-        assert arith.primes_in_ap(lo, hi, m, a) == want
+    cases = [(0, 200, 1, 0), (50, 300, 4, 3), (10, 40, 6, 1),
+             (0, 100, 5, 2), (961, 1100, 7, 0), (13, 13, 3, 1),
+             (1, 3, 2, 0), (0, 10, 3, 3), (-5, 30, 7, 7), (6, 100, 10, 5)]
+    # seeded: residues that share a factor with m, and ranges that hold the
+    # base primes q <= sqrt(hi - 1) themselves
+    rng = random.Random(3)
+    for _ in range(400):
+        hi = rng.randint(0, 10**4)
+        lo = rng.choice([rng.randint(-3, 40), rng.randint(-3, hi)])
+        m = rng.choice([1, 2, 3, 4, 6, 30, rng.randint(1, 200)])
+        a = rng.randint(-m, 2 * m)
+        cases.append((min(lo, hi), hi, m, a))
+    for lo, hi, m, a in cases:
+        assert arith.primes_in_ap(lo, hi, m, a) == _primes_in_ap_by_scan(lo, hi, m, a), (lo, hi, m, a)
+
+
+def test_primes_in_ap_large_slices():
+    # below ORDER_BOUND the slices hold fewer terms than sqrt(hi), so the sieve
+    # stops short of it and is_prime confirms the survivors; around 10^10 the
+    # base primes reach sqrt(hi) = 10^5 and every survivor is prime
+    lo, hi = curves.ORDER_BOUND - 20001, curves.ORDER_BOUND
+    cases = [(lo, hi, m, a) for m in (1, 2, 9, 1024) for a in {1 % m, m - 1}]
+    cases += [(10**10 - 10**5, 10**10 + 10**5, m, 1) for m in (1, 2)]
+    for lo, hi, m, a in cases:
+        assert arith.primes_in_ap(lo, hi, m, a) == _primes_in_ap_by_scan(lo, hi, m, a), (lo, m, a)
 
 
 def test_primes_in_ap_rejects_bad_input():

@@ -219,11 +219,14 @@ def test_sieve_cap_is_a_usage_error(capsys):
 
 
 def test_class_scan_cap_is_a_usage_error(capsys):
-    # window discriminants up to 4*10^14, 4*10^13 and 8*10^7: refused before any class
-    # number, the first two by the wider window scan bound, which is checked first
+    # window discriminants up to 4*10^14, 4*10^13, 2^41 and 8*10^7: refused before any
+    # class number, the first two by the wider window scan bound, which is checked first;
+    # the window of 2^39 fits that bound and is refused by the cap before its first prime
     window, scan = "error: window scan", "error: class numbers for |d| <= "
     for args, prefix in ((["mn", "--n", "100000000000000"], window),
                          (["mg", "--m", "1", "--k", "10000000000000"], window),
+                         (["mn", "--n", "549755813888"], scan),
+                         (["mg", "--m", "1", "--k", "549755813888"], scan),
                          (["mn", "--n", "20000000"], scan),
                          (["mg", "--m", "1", "--k", "20000000"], scan),
                          (["grid", "--mmax", "1", "--kmax", "20000000"], scan)):

@@ -82,6 +82,14 @@ def test_m_of_group_bound_guard():
         m_of_group(1, 2**41)
 
 
+def test_m_of_group_is_the_sum_of_its_prime_terms():
+    # the twelfths sum divides by 12 once; the per-prime terms are Fractions
+    for m in range(1, 4):
+        for k in range(1, 201):
+            terms = [m_p_of_group(m, k, p) for p in window_primes_in_class(m * m * k, m)]
+            assert m_of_group(m, k) == sum(terms, Fraction(0)), (m, k)
+
+
 def test_window_scan_bound(monkeypatch):
     # the whole window of ORDER_BOUND is the widest scan allowed
     lo, hi = curves.ORDER_BOUND - 2**21 - 1, curves.ORDER_BOUND + 2**21 + 3
@@ -98,6 +106,21 @@ def test_window_scan_bound(monkeypatch):
         curves.m_of_order_by_primes(2**41)
     with pytest.raises(OverflowError):
         eta_statistic(10**14)
+
+
+def test_window_sums_check_both_bounds_before_scanning(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a candidate was tested")
+
+    monkeypatch.setattr(curves, "primes_in_ap", refuse)
+    # the window of 2^39 fits the scan bound, so the scan cap refuses it
+    with pytest.raises(ValueError, match="scan cap"):
+        m_of_group(1, 2**39)
+    with pytest.raises(ValueError, match="scan cap"):
+        curves.m_of_order_by_primes(2**39)
+    # a window past the scan bound is refused first, as OverflowError
+    with pytest.raises(OverflowError):
+        m_of_group(1, 2**41)
 
 
 def test_window_sums_refuse_the_scan_cap_up_front():

@@ -6,6 +6,7 @@ import pytest
 from curvecensus import quadforms
 from curvecensus.quadforms import (
     class_data,
+    class_number_twelfths,
     kronecker_class_number,
     kronecker_class_number_restricted,
     kronecker_class_number_weighted,
@@ -112,6 +113,24 @@ def test_weighted_enumeration_agrees_with_level_sum():
             continue
         for k in range(1, 13):
             assert kronecker_class_number_weighted(d, k) == kronecker_class_number_restricted(d, k), (d, k)
+
+
+def test_twelfths_match_the_weighted_walk():
+    # reduced_forms is an independent route to the same integer 12 H_k(d)
+    for d in range(-3000, 0):
+        if d % 4 not in (0, 1):
+            continue
+        for k in (1, 2, 3, 4, 6, 12, 35):
+            twelfths = class_number_twelfths(d, k)
+            assert type(twelfths) is int
+            assert twelfths == 12 * kronecker_class_number_weighted(d, k), (d, k)
+
+
+def test_twelfths_reject_bad_input():
+    with pytest.raises(ValueError):
+        class_number_twelfths(-5, 1)
+    with pytest.raises(ValueError):
+        class_number_twelfths(-4, 0)
 
 
 def test_values_are_nonnegative_with_denominator_dividing_12():
