@@ -51,8 +51,7 @@ from .matrixcounts import (
     det_count_closed,
     euler_density,
     gl2_order,
-    verify_kg_interpretation,
-    verify_kn_interpretation,
+    shape_density,
 )
 from .quadforms import (
     ClassData,

@@ -3,11 +3,12 @@
 Everything here is pure and deterministic: primality uses a fixed
 Miller-Rabin witness set valid for all 64-bit integers, and factorization
 uses trial division followed by Brent's cycle method with a fixed seed
-sequence.  Primes in arithmetic progressions come from a sieve of the
-progression by the base primes up to its square root; is_prime serves
-single numbers and is the sieve's test oracle.  The square divisors of each
-n are memoized (bounded), since every window sum asks for those of the same
-discriminants more than once.
+sequence; it refuses n >= FACTOR_BOUND = 2^64 before any trial division.
+Primes in arithmetic progressions come from a sieve of the progression by
+the base primes up to its square root; is_prime serves single numbers and
+is the sieve's test oracle.  The square divisors of each n are memoized
+(bounded), since every window sum asks for those of the same discriminants
+more than once.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from dataclasses import dataclass
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_LIMIT = 10**6
+
+# is_prime is proven below this; factorize refuses n at or above it, and the
+# window sums refuse a Hasse window that reaches it.
+FACTOR_BOUND = 2**64
 
 # Largest sieve bound (a 64 MiB bytearray), the same figure as quadforms.CLASS_SCAN_CAP.
 SIEVE_CAP = 2**26
@@ -59,7 +64,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (valid for all 64-bit n)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -130,9 +135,11 @@ def _brent_rho(n: int) -> int:
 
 
 def factorize(n: int) -> Factorization:
-    """Complete factorization of n >= 1, deterministic."""
+    """Complete factorization of 1 <= n < FACTOR_BOUND, deterministic."""
     if n < 1:
         raise ValueError(f"factorize: n must be >= 1, got {n}")
+    if n >= FACTOR_BOUND:
+        raise ValueError(f"factorize: {n} is not below 2^64")
     value = n
     out: dict[int, int] = {}
     for p in (2, 3, 5):

@@ -2,9 +2,11 @@
 
 Subcommands: mg (count by group shape), mn (count by order), grid (shape
 table), constants (local constants for a shape/order), matrix (one matrix
-count), verify (dual-route suites).  Output is CSV or JSON with a fixed
-column order and floats printed to 10 significant digits, so identical
-invocations are byte-identical.  Everything runs on one thread; --threads
+count), verify (dual-route suites).  Each quantity and each comparison of
+two routes is computed in the library module that owns it; the commands
+only format it.  Output is CSV or JSON with a fixed column order and floats
+printed to 10 significant digits, so identical invocations are
+byte-identical.  Everything runs on one thread; --threads
 is accepted, validated and echoed in the JSON config for compatibility, and
 changes neither the work nor the output.  Class numbers are counted per
 discriminant on first use and memoized in memory for the run; nothing is
@@ -15,8 +17,8 @@ dispatch table: its type converters bound every number and path, and each
 subcommand names its cmd_* function.  Exit codes: 0 success (and --help),
 1 verification mismatch or disagreeing computation routes, 2 usage error.
 Every usage error, whether from the parser, an unwritable output path, a
-class-number scan above its cap or a prime sieve above its cap, is one
-`error: ...` line on stderr.
+class-number scan above its cap, a prime sieve above its cap or an order
+at or above 2^64, is one `error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -88,16 +90,14 @@ def _emit(args, columns: list[str], rows: list[list],
 def _main_term_cells(m: int, k: int, total: Fraction, cutoff: int):
     """#Aut, the K(m, k) table, and the main-term and ratio cells of a shape.
 
-    Both cells are empty for the trivial group (log 1 = 0).  The float
-    expression fixes the printed digits: conjectural_main_term groups it
-    differently and can differ in the last bit.
+    Both cells are empty for the trivial group (log 1 = 0).
     """
     n = m * m * k
     aut = localfactors.aut_order(m, k)
     table = localfactors.k_of_group(m, k, cutoff)
     if n < 2:
         return aut, table, "", ""
-    main = table.truncated_value * n * n / (aut * math.log(n))
+    main = localfactors.main_term(n, aut, table.truncated_value)
     return aut, table, _fmt_float(main), _fmt_float(float(total) / main)
 
 
@@ -134,13 +134,7 @@ def cmd_mg(args) -> int:
 
 def cmd_mn(args) -> int:
     n = args.n
-    by_primes = curves.m_of_order_by_primes(n)  # refuses an n above the scan cap first
-    terms = [(m, k, curves.m_of_group(m, k)) for m, k in curves.order_decomposition(n)]
-    total = sum((t for _, _, t in terms), Fraction(0))
-    if by_primes != total:
-        raise ConsistencyError(
-            f"M({n}) routes disagree: {by_primes} by primes, {total} by shapes"
-        )
+    total, terms = curves.m_of_order_terms(n)
     x_eff = args.x if args.x is not None else math.isqrt(n)
     truncated = sum((t for m, _, t in terms if m <= x_eff), Fraction(0))
     table = localfactors.k_of_order(n, args.cutoff)
@@ -229,18 +223,19 @@ def cmd_matrix(args) -> int:
 # --- verify suites ----------------------------------------------------------
 
 
+def _check(label: str, lhs, rhs, fmt=_fmt_frac) -> list:
+    """One verify row: the check, both routes' values, and whether they are equal."""
+    return [label, fmt(lhs), fmt(rhs), lhs == rhs]
+
+
 def _suite_oracle(pmax: int) -> list[list]:
-    prime_list = [p for p in range(2, pmax + 1) if is_prime(p)]
     rows = []
-    for p in prime_list:
+    for p in primes_up_to(pmax):
         tally = curves.brute_force_tally(p)
         shapes = sorted(set(tally.entries) | set(curves.admissible_shapes(p)))
         for s in shapes:
             lhs = tally.entries.get(s, Fraction(0))
-            rhs = curves.m_p_of_group(s.m, s.k, p)
-            rows.append(
-                [f"p={p} m={s.m} k={s.k}", _fmt_frac(lhs), _fmt_frac(rhs), lhs == rhs]
-            )
+            rows.append(_check(f"p={p} m={s.m} k={s.k}", lhs, curves.m_p_of_group(s.m, s.k, p)))
     return rows
 
 
@@ -249,41 +244,26 @@ def _suite_matrix(lmax: int, emax: int, nmax: int) -> list[list]:
     for ell in primes_up_to(lmax):
         for e in range(1, emax + 1):
             total = sum(matrixcounts.count_c_fibers(ell, e, 0))
-            rows.append(
-                [
-                    f"fiber-partition l={ell} e={e}",
-                    str(total),
-                    str(matrixcounts.gl2_order(ell, e)),
-                    total == matrixcounts.gl2_order(ell, e),
-                ]
-            )
+            rows.append(_check(f"fiber-partition l={ell} e={e}", total,
+                               matrixcounts.gl2_order(ell, e), str))
             for n in range(1, nmax + 1):
                 v = valuation(ell, n)
                 if e <= v:
                     continue
                 for uu in range(0, v // 2 + 1):
                     q = matrixcounts.MatrixCountQuery(n, ell**uu, ell, e)
-                    brute = matrixcounts.count_c_brute(q)
-                    closed = matrixcounts.count_c_closed(q)
-                    rows.append(
-                        [
-                            f"count l={ell} e={e} n={n} u={uu}",
-                            str(brute),
-                            str(closed),
-                            brute == closed,
-                        ]
-                    )
+                    rows.append(_check(f"count l={ell} e={e} n={n} u={uu}",
+                                       matrixcounts.count_c_brute(q),
+                                       matrixcounts.count_c_closed(q), str))
     for ell in primes_up_to(lmax):
         e = 1
         while ell**e <= 27:
             for m_det in range(1, 17):
                 if valuation(ell, m_det) > e:
                     continue
-                brute = matrixcounts.det_count_brute(m_det, ell, e)
-                closed = matrixcounts.det_count_closed(m_det, ell, e)
-                rows.append(
-                    [f"det l={ell} e={e} M={m_det}", str(brute), str(closed), brute == closed]
-                )
+                rows.append(_check(f"det l={ell} e={e} M={m_det}",
+                                   matrixcounts.det_count_brute(m_det, ell, e),
+                                   matrixcounts.det_count_closed(m_det, ell, e), str))
             e += 1
     return rows
 
@@ -296,11 +276,9 @@ def _suite_local() -> list[list]:
                 for k in range(1, ell * ell + 1):
                     if k % ell == 0:
                         continue
-                    enum = localfactors.t_of_n(ell**w, m, k)
-                    closed = localfactors.t_closed_form(ell, w, m, k)
-                    rows.append(
-                        [f"T l={ell} w={w} m={m} k={k}", str(enum), str(closed), enum == closed]
-                    )
+                    rows.append(_check(f"T l={ell} w={w} m={m} k={k}",
+                                       localfactors.t_of_n(ell**w, m, k),
+                                       localfactors.t_closed_form(ell, w, m, k), str))
     for ell in (3, 5, 7):
         for m in range(1, 7):
             for k in range(1, 7):
@@ -321,36 +299,20 @@ def _suite_local() -> list[list]:
 
 
 def _suite_constants(nmax: int, mmax: int, kmax: int, lmax: int) -> list[list]:
-    rows = []
-    for n in range(1, nmax + 1):
-        for rec in matrixcounts.verify_kn_interpretation(n, lmax):
-            rows.append(
-                [
-                    f"order n={n} l={rec['ell']}",
-                    _fmt_frac(rec["constant_factor"]),
-                    _fmt_frac(rec["density"]),
-                    rec["equal"],
-                ]
-            )
-    for m in range(1, mmax + 1):
-        for k in range(1, kmax + 1):
-            for rec in matrixcounts.verify_kg_interpretation(m, k, lmax):
-                rows.append(
-                    [
-                        f"shape m={m} k={k} l={rec['ell']}",
-                        _fmt_frac(rec["constant_factor"]),
-                        _fmt_frac(rec["density_difference"]),
-                        rec["equal"],
-                    ]
-                )
+    ells = primes_up_to(lmax)
+    rows = [_check(f"order n={n} l={ell}", matrixcounts.kn_local_factor(n, ell),
+                   matrixcounts.euler_density(n, 1, ell))
+            for n in range(1, nmax + 1) for ell in ells]
+    rows += [_check(f"shape m={m} k={k} l={ell}", matrixcounts.kg_local_factor(m, k, ell),
+                    matrixcounts.shape_density(m, k, ell))
+             for m in range(1, mmax + 1) for k in range(1, kmax + 1) for ell in ells]
     return rows
 
 
 def _suite_identity(nmax: int) -> list[list]:
     rows = []
     for n in range(1, nmax + 1):
-        by_primes, by_shapes = curves.m_of_order_routes(n)
-        rows.append([f"n={n}", _fmt_frac(by_primes), _fmt_frac(by_shapes), by_primes == by_shapes])
+        rows.append(_check(f"n={n}", *curves.m_of_order_routes(n)))
     return rows
 
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import euler_phi, factorize, is_prime, mobius, primes_in_ap, square_divisors
+from .arith import (FACTOR_BOUND, euler_phi, factorize, is_prime, mobius, primes_in_ap,
+                    square_divisors)
 from .errors import ConsistencyError
 from .quadforms import (
     CLASS_SCAN_CAP,
@@ -108,13 +109,16 @@ def _window_range(n: int, m: int) -> tuple[int, int]:
     """Strict bounds (lo, hi) around the window integers of n.
 
     A scan with more candidates than the whole window of ORDER_BOUND raises
-    OverflowError.
+    OverflowError; a window whose largest integer n + 1 + isqrt(4n - 1)
+    reaches arith.FACTOR_BOUND = 2^64 raises ValueError.
     """
     lo = n - 2 * math.isqrt(n) - 1  # strictly below every window integer
     hi = n + 2 + 2 * math.isqrt(n) + 1
     if (hi - lo) // m > _MAX_WINDOW_SCAN:
         raise OverflowError(f"window scan of N = {n} for primes 1 mod {m} "
                             f"exceeds {_MAX_WINDOW_SCAN} candidates")
+    if n + 1 + math.isqrt(4 * n - 1) >= FACTOR_BOUND:
+        raise ValueError(f"the Hasse window of N = {n} reaches 2^64")
     return lo, hi
 
 
@@ -152,10 +156,7 @@ def m_of_order_by_primes(n: int) -> Fraction:
 def m_of_order_routes(n: int) -> tuple[Fraction, Fraction]:
     """M(n) two ways: summed over window primes, and over group shapes."""
     by_primes = m_of_order_by_primes(n)
-    by_shapes = Fraction(0)
-    for m, _ in order_decomposition(n):
-        by_shapes += m_of_group(m, n // (m * m))
-    return by_primes, by_shapes
+    return by_primes, sum((m_of_group(m, k) for m, k in order_decomposition(n)), Fraction(0))
 
 
 def order_decomposition(n: int) -> list[tuple[int, int]]:
@@ -163,14 +164,25 @@ def order_decomposition(n: int) -> list[tuple[int, int]]:
     return [(m, n // (m * m)) for m in square_divisors(n)]
 
 
-def m_of_order(n: int) -> Fraction:
-    """M(n) = sum over shapes of M(Z/m x Z/mk); both routes must agree."""
-    by_primes, by_shapes = m_of_order_routes(n)
+def m_of_order_terms(n: int) -> tuple[Fraction, list[tuple[int, int, Fraction]]]:
+    """M(n) and its shape terms (m, k, M(Z/m x Z/mk)), ascending in m.
+
+    The sum over window primes comes first (it refuses an n above the scan
+    cap), and the terms must add up to it: ConsistencyError otherwise.
+    """
+    by_primes = m_of_order_by_primes(n)
+    terms = [(m, k, m_of_group(m, k)) for m, k in order_decomposition(n)]
+    by_shapes = sum((t for _, _, t in terms), Fraction(0))
     if by_primes != by_shapes:
         raise ConsistencyError(
             f"M({n}) routes disagree: {by_primes} by primes, {by_shapes} by shapes"
         )
-    return by_primes
+    return by_primes, terms
+
+
+def m_of_order(n: int) -> Fraction:
+    """M(n) = sum over shapes of M(Z/m x Z/mk); both routes must agree."""
+    return m_of_order_terms(n)[0]
 
 
 def inclusion_exclusion_check(m: int, k: int, p: int) -> Fraction:

@@ -149,14 +149,19 @@ def k_of_order(n: int, cutoff: int = DEFAULT_CUTOFF) -> LocalFactorTable:
     return _assemble(lambda ell: order_factor(n, ell), n, cutoff)
 
 
+def main_term(n: int, aut: int, constant: float) -> float:
+    """constant * n^2 / (aut * log n) for a shape of order n with aut automorphisms."""
+    if n < 2:
+        raise ValueError("main term undefined for the trivial group (log 1 = 0)")
+    return constant * n * n / (aut * math.log(n))
+
+
 def conjectural_main_term(m: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> tuple[float, float]:
     """K(m, k) * N^2 / (#Aut * log N), truncated; returns (value, tail bound)."""
     n = m * m * k
-    if n < 2:
-        raise ValueError("main term undefined for the trivial group (log 1 = 0)")
+    aut = aut_order(m, k)
     table = k_of_group(m, k, cutoff)
-    scale = n * n / (aut_order(m, k) * math.log(n))
-    return table.truncated_value * scale, table.tail_bound * scale
+    return main_term(n, aut, table.truncated_value), main_term(n, aut, table.tail_bound)
 
 
 # --- the local sums T, P ----------------------------------------------------

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime, kronecker, primes_up_to, valuation
+from .arith import is_prime, kronecker, valuation
 from .errors import ConsistencyError
 from .localfactors import group_factor, order_factor
 
@@ -199,6 +199,17 @@ def euler_density(n: int, nt: int, ell: int) -> Fraction:
     return _density(n, valuation(ell, nt), ell)
 
 
+def shape_density(m: int, k: int, ell: int) -> Fraction:
+    """Stabilized density of sigma = I mod l^u but not mod l^(u+1), u the valuation of m.
+
+    The order is m^2 k.  The value is a difference of two stabilized
+    densities, and kg_local_factor equals it.
+    """
+    u = valuation(ell, m)
+    n = m * m * k
+    return _density(n, u, ell) - _density(n, u + 1, ell)
+
+
 def _g_over_aut_factor(m: int, k: int, ell: int) -> Fraction:
     """The ell-factor of #G/#Aut(G) in its Euler factorization."""
     u = valuation(ell, m)
@@ -223,44 +234,3 @@ def kn_local_factor(n: int, ell: int) -> Fraction:
 def kg_local_factor(m: int, k: int, ell: int) -> Fraction:
     """The ell-factor of (shape constant) * #G / #Aut(G)."""
     return group_factor(m, k, ell) * _g_over_aut_factor(m, k, ell)
-
-
-def verify_kn_interpretation(n: int, cutoff: int) -> list[dict]:
-    """Per-prime equality of the order-constant factor with the density.
-
-    Returns one record per prime ell <= cutoff; mismatches are reported,
-    never raised.
-    """
-    out = []
-    for ell in primes_up_to(cutoff):
-        lhs = kn_local_factor(n, ell)
-        rhs = euler_density(n, 1, ell)
-        out.append(
-            {"n": n, "ell": ell, "constant_factor": lhs, "density": rhs, "equal": lhs == rhs}
-        )
-    return out
-
-
-def verify_kg_interpretation(m: int, k: int, cutoff: int) -> list[dict]:
-    """Per-prime equality of the shape-constant factor with density differences.
-
-    The density side counts sigma = I mod l^u but not mod l^(u+1), u the
-    l-adic valuation of m, as a difference of two stabilized densities.
-    """
-    n = m * m * k
-    out = []
-    for ell in primes_up_to(cutoff):
-        u = valuation(ell, m)
-        lhs = kg_local_factor(m, k, ell)
-        rhs = _density(n, u, ell) - _density(n, u + 1, ell)
-        out.append(
-            {
-                "m": m,
-                "k": k,
-                "ell": ell,
-                "constant_factor": lhs,
-                "density_difference": rhs,
-                "equal": lhs == rhs,
-            }
-        )
-    return out

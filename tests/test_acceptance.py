@@ -99,13 +99,16 @@ def test_criterion_4_matrix_counts():
 
 def test_criterion_5_euler_factor_interpretation():
     with criterion(5, "constants equal matrix densities prime by prime"):
+        ells = primes_up_to(13)
         for n in range(1, 37):
-            records = matrixcounts.verify_kn_interpretation(n, 13)
-            assert all(r["equal"] for r in records), n
+            for ell in ells:
+                assert matrixcounts.kn_local_factor(n, ell) == \
+                    matrixcounts.euler_density(n, 1, ell), (n, ell)
         for m in range(1, 5):
             for k in range(1, 10):
-                records = matrixcounts.verify_kg_interpretation(m, k, 13)
-                assert all(r["equal"] for r in records), (m, k)
+                for ell in ells:
+                    assert matrixcounts.kg_local_factor(m, k, ell) == \
+                        matrixcounts.shape_density(m, k, ell), (m, k, ell)
 
 
 def test_criterion_6_local_sums():

@@ -93,6 +93,12 @@ def test_factorize_examples():
     assert arith.factorize(1).factors == ()
     assert arith.factorize(12).factors == ((2, 2), (3, 1))
     assert arith.factorize(121).factors == ((11, 2),)
+    assert arith.factorize(2**64 - 1).factors == (
+        (3, 1), (5, 1), (17, 1), (257, 1), (641, 1), (65537, 1), (6700417, 1))
+    # is_prime is proven below 2^64, and rho may run for minutes above it
+    for n in (2**64, 1000000000001040000000000037111):
+        with pytest.raises(ValueError, match="not below 2\\^64"):
+            arith.factorize(n)
 
 
 def test_factorize_round_trip():

@@ -112,7 +112,13 @@ def test_window_sums_check_both_bounds_before_scanning(monkeypatch):
     def refuse(*args):
         raise AssertionError("a candidate was tested")
 
+    # (2^32 - 1)^2 is square, so its largest window integer is 2^64 - 1
+    assert m_of_group(2**32 - 1, 1) == Fraction(1, 6)
     monkeypatch.setattr(curves, "primes_in_ap", refuse)
+    # at k = 1 the windows of m = 2^32 and m ~ 10^30 reach 2^64, where is_prime is not proven
+    for m in (2**32, 1000000000001040000000000037111):
+        with pytest.raises(ValueError, match="reaches 2\\^64"):
+            m_of_group(m, 1)
     # the window of 2^39 fits the scan bound, so the scan cap refuses it
     with pytest.raises(ValueError, match="scan cap"):
         m_of_group(1, 2**39)

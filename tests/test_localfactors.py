@@ -114,6 +114,19 @@ def test_main_term_examples():
     assert value > 0
 
 
+def test_main_term_is_the_printed_float():
+    # mg and grid print main_term(N, #Aut, K); the library value must be that float exactly
+    for m in range(1, 4):
+        for k in range(1, 400):
+            n = m * m * k
+            if n < 2:
+                continue
+            value, _ = lf.conjectural_main_term(m, k, cutoff=1000)
+            t = lf.k_of_group(m, k, cutoff=1000)
+            printed = t.truncated_value * n * n / (lf.aut_order(m, k) * math.log(n))
+            assert value == printed, (m, k)
+
+
 def test_t_examples():
     assert lf.t_of_n(1, 1, 1) == 1
     assert lf.t_of_n(5, 1, 1) == -1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curvecensus import matrixcounts as mc
-from curvecensus.arith import valuation
+from curvecensus.arith import primes_up_to, valuation
 from curvecensus.matrixcounts import MatrixCountQuery as Q
 
 
@@ -172,25 +172,21 @@ def test_fiber_partition():
 
 
 def test_kn_interpretation():
-    recs = mc.verify_kn_interpretation(1, 13)
-    by_ell = {r["ell"]: r for r in recs}
-    assert by_ell[5]["constant_factor"] == Fraction(95, 96)
-    assert by_ell[5]["density"] == Fraction(95, 96)
-    recs = mc.verify_kn_interpretation(4, 13)
-    by_ell = {r["ell"]: r for r in recs}
-    assert by_ell[2]["constant_factor"] == Fraction(3, 2)
-    for n in range(1, 13):
-        assert all(r["equal"] for r in mc.verify_kn_interpretation(n, 13)), n
+    assert mc.kn_local_factor(1, 5) == Fraction(95, 96)
+    assert mc.euler_density(1, 1, 5) == Fraction(95, 96)
+    assert mc.kn_local_factor(4, 2) == Fraction(3, 2)
+    for n in range(1, 37):
+        for ell in primes_up_to(13):
+            assert mc.kn_local_factor(n, ell) == mc.euler_density(n, 1, ell), (n, ell)
 
 
 def test_kg_interpretation():
-    recs = mc.verify_kg_interpretation(2, 1, 13)
-    by_ell = {r["ell"]: r for r in recs}
-    assert by_ell[2]["density_difference"] == Fraction(1, 2)
-    assert by_ell[2]["equal"]
-    for m in range(1, 4):
-        for k in range(1, 6):
-            assert all(r["equal"] for r in mc.verify_kg_interpretation(m, k, 13)), (m, k)
+    assert mc.shape_density(2, 1, 2) == Fraction(1, 2)
+    assert mc.kg_local_factor(2, 1, 2) == Fraction(1, 2)
+    for m in range(1, 5):
+        for k in range(1, 10):
+            for ell in primes_up_to(13):
+                assert mc.kg_local_factor(m, k, ell) == mc.shape_density(m, k, ell), (m, k, ell)
 
 
 def test_query_validation():
