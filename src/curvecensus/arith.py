@@ -14,6 +14,7 @@ more than once.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -227,7 +228,7 @@ def _primes_tuple(n: int) -> tuple[int, ...]:
         if sieve[p]:
             start = p * p
             sieve[start: n + 1: p] = bytearray(len(range(start, n + 1, p)))
-    return tuple(i for i in range(2, n + 1) if sieve[i])
+    return tuple(itertools.compress(range(n + 1), sieve))
 
 
 def primes_up_to(n: int) -> list[int]:

@@ -15,9 +15,12 @@ both routes are exposed and must agree.
 L(1, (d/.)) is available two ways: exactly through the class number
 formula, and as a truncated Dirichlet series with a rigorous tail bound.
 
-Class data lives in one in-process store, the per-discriminant memo
-_cache: class_data counts the primitive reduced forms of each discriminant
-b by b on first use.  reduced_forms, the enumeration by a, is the
+Class numbers live in one in-process store, the per-discriminant memo
+_cache of 12 H(d).  Each entry counts the reduced forms of d by leading
+coefficient a, from the number of square roots of d mod 4a, which is
+multiplicative in a (Cohen, GTM 138, 5.3); only a narrow band of a near
+sqrt(|d|/3) scans b.  h(d) and H_k(d) follow by Moebius inversion over the
+levels f.  reduced_forms, the plain enumeration by a and b, is the
 independent walk behind the weighted route.  numpy is imported only inside
 the series l_value_series, a test-time oracle, so importing this module
 does not load it.
@@ -25,11 +28,12 @@ does not load it.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .arith import kronecker, square_divisors
+from .arith import factorize, kronecker, primes_up_to
 
 
 class ClassData(NamedTuple):
@@ -42,11 +46,11 @@ class LSeriesValue(NamedTuple):
     tail_bound: float
 
 
-# class_data refuses to scan any |d| at or above this bound.
+# class_number_twelfths and class_data refuse any |d| at or above this bound.
 CLASS_SCAN_CAP = 2**26
 
-# Memoized class data, one entry per discriminant.  The package runs on one thread.
-_cache: dict[int, ClassData] = {}
+# Memoized 12 H(d), one entry per discriminant.  The package runs on one thread.
+_cache: dict[int, int] = {}
 # Always empty: perfbench/tracer.py reads these two names to count table hits.
 _h_table = None
 _h_table_limit = 0
@@ -71,45 +75,125 @@ def reduced_forms(d: int) -> Iterator[tuple[int, int, int]]:
     Reduced means -a < b <= a <= c with b >= 0 when a == c.
     """
     _require_discriminant(d)
-    a = 1
-    while 3 * a * a <= -d:
-        for b in range(-a + 1 + (a + 1 + d) % 2, a + 1, 2):
-            num = b * b - d
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if a == c and b < 0:
-                continue
-            yield (a, b, c)
-        a += 1
+    for a in range(1, math.isqrt(-d // 3) + 1):
+        m = 4 * a
+        for b in [b for b in range(-a + 1 + (a + 1 + d) % 2, a + 1, 2) if (b * b - d) % m == 0]:
+            c = (b * b - d) // m
+            if c > a or (c == a and b >= 0):
+                yield (a, b, c)
+
+
+def _root_count(d: int, ell: int, j: int) -> int:
+    """N_d(ell^j) = #{x mod ell^j : x^2 = d (mod ell^j)} for a prime ell."""
+    count = 1
+    while j > 0:
+        if d % ell:
+            if ell == 2:  # 1, 2 [d = 1 mod 4], 4 [d = 1 mod 8] for j = 1, 2, >= 3
+                return count * (1, 2 * (d % 4 == 1), 4 * (d % 8 == 1))[min(j, 3) - 1]
+            return count * (2 if pow(d % ell, ell >> 1, ell) == 1 else 0)  # 1 + (d/ell)
+        if d % ell**j == 0:
+            return count * ell ** (j // 2)
+        if d % (ell * ell):
+            return 0  # ell exactly divides d and j >= 2
+        # x = ell y with y^2 = d/ell^2 (mod ell^(j-2)), y taken mod ell^(j-1)
+        count, d, j = count * ell, d // (ell * ell), j - 2
+    return count
+
+
+@functools.lru_cache(maxsize=None)
+def _primes_below_power_of_two(bits: int) -> tuple[int, ...]:
+    # one sieve per bit length, so each bound top < 2^bits shares it
+    return tuple(primes_up_to(1 << bits))
+
+
+def _root_counts(d: int, top: int) -> list[int]:
+    """g[a] = N_d(4a)/2 for 0 <= a <= top, and g[0] = 0.
+
+    g[a] counts the roots b in (-a, a] of b^2 = d (mod 4a): the roots mod 4a
+    come in pairs x, x + 2a.  N_d(m) is multiplicative in m and N_d(4) = 2,
+    so g is multiplicative in a and is sieved one prime power at a time.
+    """
+    g = [1] * (top + 1)
+    g[0] = 0
+    for ell in _primes_below_power_of_two(top.bit_length()):
+        if ell > top:
+            break
+        r = d % ell
+        if r and ell > 2:
+            # (d/ell) = 1: two roots mod every power of ell; -1: none
+            if pow(r, ell >> 1, ell) == 1:
+                g[ell::ell] = [v + v for v in g[ell::ell]]
+            else:
+                g[ell::ell] = [0] * (top // ell)
+            continue
+        # 2 and the primes dividing d: the count depends on the power
+        shift = 2 if ell == 2 else 0  # g(2^v) = N_d(2^(v+2))/2
+        prev, q, j = _root_count(d, ell, shift), ell, 1
+        while q <= top:
+            cur = _root_count(d, ell, j + shift)
+            if not cur:
+                g[q::q] = [0] * (top // q)
+                break
+            if cur != prev:
+                g[q::q] = [v * cur // prev for v in g[q::q]]
+            prev, q, j = cur, q * ell, j + 1
+    return g
+
+
+def _reduced_form_count(d: int) -> int:
+    """F(d): the reduced forms of discriminant d, imprimitive ones included.
+
+    Counts by leading coefficient a <= sqrt(|d|/3) (Cohen, GTM 138, 5.3).
+    For 4a^2 <= |d| every root b in (-a, a] of b^2 = d (mod 4a) gives a
+    reduced form, since c = (b^2 - d)/4a >= a, so these a add g[a].  In the
+    band 4a^2 > |d|, c >= a needs |b| >= s = ceil(sqrt(4a^2 - |d|)), so the
+    band scans b in [s, a] for the a that have roots at all; it drops
+    b = -a, and b = -s when c = a.
+    """
+    n = -d
+    g = _root_counts(d, math.isqrt(n // 3))
+    x = math.isqrt(n // 4)
+    total = sum(g[:x + 1])
+    for a in range(x + 1, len(g)):
+        if not g[a]:
+            continue
+        e = 4 * a * a - n
+        s = math.isqrt(e - 1) + 1
+        m = 4 * a
+        # b = d (mod 2), and each root b > 0 stands for the forms (a, +-b, c)
+        total += 2 * [(b * b + n) % m for b in range(s + ((s ^ n) & 1), a + 1, 2)].count(0)
+        total -= ((a ^ n) & 1 == 0 and (a * a + n) % m == 0) + (s * s == e and s < a)
+    return total
+
+
+def _is_square_multiple(n: int, k: int) -> bool:
+    """Whether n = k f^2 for some integer f."""
+    return n % k == 0 and math.isqrt(n // k) ** 2 == n // k
+
+
+def _twelfths(d: int) -> int:
+    """12 H(d) = 6 F(d) - 3 [d = -4f^2] - 4 [d = -3f^2], memoized.
+
+    A reduced form weighs 1/2 in H(d), except f(x^2 + y^2), which weighs 1/4,
+    and f(x^2 + xy + y^2), which weighs 1/6.
+    """
+    hit = _cache.get(d)
+    if hit is None:
+        n = -d
+        hit = (6 * _reduced_form_count(d)
+               - 3 * _is_square_multiple(n, 4) - 4 * _is_square_multiple(n, 3))
+        _cache[d] = hit
+    return hit
 
 
 def class_data(d: int) -> ClassData:
-    """Class number and unit count of the order of discriminant d, memoized.
+    """Class number and unit count of the order of discriminant d.
 
-    Counts the primitive reduced forms (a, b, c) b by b: for each
-    b = d (mod 2) with 3b^2 <= |d|, every divisor a of q = (b^2 - d)/4 with
-    b <= a <= q/a gives one class, or two, (a, +-b, c), unless b = 0,
-    a = b or a = c (Cohen, GTM 138, Algorithm 5.3.5).  |d| at or above
-    CLASS_SCAN_CAP raises ValueError before the scan.
+    h(d)/w(d) is H_k(d) at k = |d|, where only the level f = 1 is coprime to
+    k.  |d| at or above CLASS_SCAN_CAP raises ValueError before any count.
     """
-    _require_discriminant(d)
-    if -d >= CLASS_SCAN_CAP:
-        raise ValueError(f"class-number scan of |d| = {-d} reaches the cap {CLASS_SCAN_CAP}")
-    hit = _cache.get(d)
-    if hit is not None:
-        return hit
-    h = 0
-    for b in range(d % 2, math.isqrt(-d // 3) + 1, 2):
-        q = (b * b - d) // 4
-        for a in range(max(b, 1), math.isqrt(q) + 1):
-            if q % a == 0 and math.gcd(a, b, q // a) == 1:
-                h += 1 if b == 0 or a == b or a * a == q else 2
-    out = ClassData(h, _unit_count(d))
-    _cache[d] = out
-    return out
+    w = _unit_count(d)
+    return ClassData(class_number_twelfths(d, -d) * w // 12, w)
 
 
 def kronecker_class_number(d: int) -> Fraction:
@@ -125,20 +209,29 @@ def kronecker_class_number_restricted(d: int, k: int) -> Fraction:
 def class_number_twelfths(d: int, k: int) -> int:
     """12 H_k(d), an integer: each w(d/f^2) in {2, 4, 6} divides 12.
 
-    Window sums add these and divide by 12 once, instead of adding Fractions.
+    By Moebius inversion over the levels, 12 H_k(d) is the sum of
+    mu(g) 12 H(d/g^2) over the squarefree g | k with d/g^2 a discriminant,
+    so k = 1 is one memo lookup.  Window sums add these and divide by 12
+    once, instead of adding Fractions.  |d| at or above CLASS_SCAN_CAP
+    raises ValueError before any count.
     """
     _require_discriminant(d)
     if k < 1:
         raise ValueError(f"restriction parameter must be >= 1, got {k}")
-    total = 0
-    for f in square_divisors(-d):
-        if math.gcd(f, k) != 1:
-            continue
-        d0 = d // (f * f)
-        if d0 % 4 not in (0, 1):
-            continue
-        h, w = class_data(d0)
-        total += h * (12 // w)
+    if -d >= CLASS_SCAN_CAP:
+        raise ValueError(f"class-number scan of |d| = {-d} reaches the cap {CLASS_SCAN_CAP}")
+    total = _twelfths(d)
+    r = math.gcd(k, d)
+    if r > 1:
+        # mu(g) g for each squarefree g | k with g^2 | d
+        signed = [1]
+        for p, _ in factorize(r).factors:
+            if d % (p * p) == 0:
+                signed += [-p * g for g in signed]
+        for g in signed[1:]:
+            d0 = d // (g * g)
+            if d0 % 4 in (0, 1):
+                total += _twelfths(d0) if g > 0 else -_twelfths(d0)
     return total
 
 

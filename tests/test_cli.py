@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -60,6 +61,32 @@ def test_mn_table_and_summary(capsys):
     assert doc["summary"]["truncated_sum"] == "2/1"
     assert doc["summary"]["residual"] == "7/12"
     assert doc["rows"] == [[1, 4, "2/1", "2"], [2, 1, "7/12", "0.5833333333"]]
+
+
+# SHA-256 of stdout as printed at commit 4dd9dd4, before class numbers were counted from
+# square roots mod 4a: the new count must not move a byte
+PINNED_STDOUT = [
+    (["--format", "json", "mn", "--n", "1088"],
+     "564242cf20fb477a2f9bc2470ad335bddf2e71765c168dac2d892ff6ee59411e"),
+    (["--format", "json", "mn", "--n", "53391"],
+     "7570e098ee9d51e20713d33b091bbcbd54f572dce8a64baaafa50018979e7080"),
+    (["--format", "json", "mn", "--n", "190103"],
+     "6351756748bd383d160105c06bd1abef17ae914df118d44c75af6c4e73554a67"),
+    (["mn", "--n", "1000003"],
+     "12eca340db5fba5fdaac14ce442fdc11ade13f9ddd199bc7f3937f52a21fe5e7"),
+    (["mg", "--m", "3", "--k", "2999", "--per-prime"],
+     "58a506abefbba79912b61edf29781d62d1eb0ccc6532e7a1a647563a95b9e99d"),
+    (["grid", "--mmax", "3", "--kmax", "40"],
+     "cd2f23c3e25ca0cedf0466070c5637d1d1df38509fb5d1db2cf52871043c17f0"),
+]
+
+
+@pytest.mark.parametrize("args,digest", PINNED_STDOUT,
+                         ids=[" ".join(args) for args, _ in PINNED_STDOUT])
+def test_stdout_bytes_are_pinned(capsys, args, digest):
+    code, out = run_cli(capsys, args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 JSON_CONFIGS = [

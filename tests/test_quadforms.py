@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -76,7 +77,7 @@ def test_class_number_against_reduction_oracle():
 
 
 def test_class_data_matches_reduced_form_count():
-    # the count by b against the primitive forms of the enumeration by a
+    # the count from roots mod 4a against the primitive forms of the plain walk by a and b
     for d in range(-2000, 0):
         if d % 4 not in (0, 1):
             continue
@@ -86,6 +87,42 @@ def test_class_data_matches_reduced_form_count():
             if math.gcd(math.gcd(a, b), c) == 1
         )
         assert class_data(d).h == h, d
+
+
+def _check_against_walk(d, ks):
+    # class_data and class_number_twelfths against the reduced forms of the walk by a and b
+    primitive = sum(1 for a, b, c in quadforms.reduced_forms(d) if math.gcd(a, b, c) == 1)
+    assert class_data(d).h == primitive, d
+    for k in ks:
+        assert class_number_twelfths(d, k) == 12 * kronecker_class_number_weighted(d, k), (d, k)
+
+
+def test_square_multiples_of_minus_3_and_minus_4():
+    # d = -3f^2 and -4f^2 hold the forms f(x^2 + xy + y^2) and f(x^2 + y^2) of weight 1/6
+    # and 1/4; k = f restricts to the levels coprime to f
+    for f in range(1, 201):
+        for d in (-3 * f * f, -4 * f * f):
+            _check_against_walk(d, (1, f))
+
+
+def test_band_edges():
+    # |d| = 4a^2 ends the leading coefficients with 4a^2 <= |d| at a, with the form
+    # (a, 0, a); 4a^2 + 3 puts a + 1 first in the band; 3a^2 ends the band at (a, a, a)
+    for a in [*range(1, 41), 97, 250, 700]:
+        for n in (4 * a * a, 4 * a * a + 3, 3 * a * a):
+            _check_against_walk(-n, (1, 6))
+
+
+def test_seeded_discriminants_up_to_4_million():
+    # |d| = f^2 |d0| about log-uniform in [10^5, 4*10^6]; f shares primes with some k
+    rng = random.Random(20141)
+    ks = (1, 2, 6, 35)
+    for i in range(40):
+        f = rng.choice((1, 2, 3, 5, 6, 7, 10, 35))
+        lo, hi = math.log(10**5 / f**2), math.log(4 * 10**6 / f**2)
+        n0 = round(math.exp(rng.uniform(lo, hi)))
+        n0 += (-n0) % 4 if rng.random() < 0.5 else (3 - n0) % 4
+        _check_against_walk(-f * f * n0, (ks[i % 4],))
 
 
 def test_kronecker_class_number_examples():
