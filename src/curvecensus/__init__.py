@@ -54,10 +54,7 @@ from .matrixcounts import (
     shape_density,
 )
 from .quadforms import (
-    ClassData,
-    class_data,
-    kronecker_class_number,
-    kronecker_class_number_restricted,
+    class_number_twelfths,
     kronecker_class_number_weighted,
     l_value_exact,
     l_value_series,

@@ -10,7 +10,7 @@ byte-identical.  Everything runs on one thread; --threads
 is accepted, validated and echoed in the JSON config for compatibility, and
 changes neither the work nor the output.  Class numbers are counted per
 discriminant on first use and memoized in memory for the run; nothing is
-cached on disk, and no command imports numpy.
+cached on disk, and no command loads a module outside the standard library.
 
 The argparse parser is the only place input is checked and the only
 dispatch table: its type converters bound every number and path, and each
@@ -32,7 +32,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import curves, localfactors, matrixcounts
+from . import curves, localfactors, matrixcounts, quadforms
 from .arith import is_prime, primes_up_to, valuation
 from .errors import ConsistencyError
 
@@ -316,18 +316,37 @@ def _suite_identity(nmax: int) -> list[list]:
     return rows
 
 
+def _suite_classnumbers(nmax: int) -> list[list]:
+    """12 H_k(d) against the weighted walk, and M_p(G) against inclusion-exclusion."""
+    rows = []
+    for d in range(-3, -nmax - 1, -1):
+        if d % 4 not in (0, 1):
+            continue
+        for k in dict.fromkeys((1, 2, 3, 4, 6, -d)):
+            rows.append(_check(f"twelfths d={d} k={k}", quadforms.class_number_twelfths(d, k),
+                               12 * quadforms.kronecker_class_number_weighted(d, k), str))
+    for n in range(1, nmax + 1):
+        for m, k in curves.order_decomposition(n):
+            for p in curves.window_primes_in_class(n, m):
+                rows.append(_check(f"inclusion-exclusion m={m} k={k} p={p}",
+                                   curves.inclusion_exclusion_check(m, k, p),
+                                   curves.m_p_of_group(m, k, p)))
+    return rows
+
+
 _SUITES = {
     "oracle": lambda a: _suite_oracle(a.pmax),
     "matrix": lambda a: _suite_matrix(a.lmax, a.emax, a.nmax),
     "local": lambda a: _suite_local(),
     "constants": lambda a: _suite_constants(a.nmax, a.mmax, a.kmax, a.lmax),
     "identity": lambda a: _suite_identity(a.nmax),
+    "classnumbers": lambda a: _suite_classnumbers(a.nmax),
 }
 
 
 def cmd_verify(args) -> int:
     if args.nmax is None:
-        args.nmax = 500 if args.suite == "identity" else 12
+        args.nmax = 500 if args.suite in ("identity", "classnumbers") else 12
     rows = _SUITES[args.suite](args)
     mismatches = sum(1 for r in rows if not r[3])
     _emit(args, ["check", "lhs", "rhs", "equal"], rows, mismatches=mismatches)
@@ -410,7 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mn", parents=[common], help="weighted count for a fixed order")
     p.add_argument("--n", type=_int_in(1), required=True)
-    p.add_argument("--x", type=int, default=None, help="truncation point of the shape sum")
+    p.add_argument("--x", type=_int_in(1), default=None,
+                   help="truncation point of the shape sum")
     p.set_defaults(run=cmd_mn)
 
     p = sub.add_parser("grid", parents=[common], help="table of counts over a shape rectangle")

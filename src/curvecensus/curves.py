@@ -24,12 +24,7 @@ from typing import NamedTuple
 from .arith import (FACTOR_BOUND, euler_phi, factorize, is_prime, mobius, primes_in_ap,
                     square_divisors)
 from .errors import ConsistencyError
-from .quadforms import (
-    CLASS_SCAN_CAP,
-    class_number_twelfths,
-    kronecker_class_number,
-    kronecker_class_number_restricted,
-)
+from .quadforms import CLASS_SCAN_CAP, class_number_twelfths
 
 ORDER_BOUND = 2**40
 # candidates in the whole Hasse window of ORDER_BOUND, the widest scan allowed
@@ -75,7 +70,7 @@ def m_p_of_group(m: int, k: int, p: int) -> Fraction:
     n = m * m * k
     if p % m != 1 % m or not in_hasse_window(n, p):
         return Fraction(0)
-    return kronecker_class_number_restricted(trace_discriminant(m, k, p), k)
+    return Fraction(class_number_twelfths(trace_discriminant(m, k, p), k), 12)
 
 
 def require_scannable(k: int) -> None:
@@ -139,7 +134,7 @@ def m_p_of_order(n: int, nt: int, p: int) -> Fraction:
     if p % nt != 1 % nt or not in_hasse_window(n, p):
         return Fraction(0)
     d = (p - 1 - n) ** 2 - 4 * n
-    return kronecker_class_number(d // (nt * nt))
+    return Fraction(class_number_twelfths(d // (nt * nt), 1), 12)
 
 
 def m_of_order_by_primes(n: int) -> Fraction:

@@ -1,12 +1,13 @@
-"""Binary quadratic forms: class numbers, weighted class numbers, L-values.
+"""Binary quadratic forms: weighted class numbers and L-values.
 
 A negative discriminant d (d < 0, d = 0 or 1 mod 4) has class number h(d) =
 number of primitive reduced forms (a, b, c) with b^2 - 4ac = d, and unit
 count w(d) = 6, 4, 2 for d = -3, -4, anything else.  The weighted class
 number H(D) sums h(D/f^2)/w(D/f^2) over all f with f^2 | D and D/f^2 still a
-discriminant; H_k(D) additionally requires gcd(f, k) = 1.  Every w divides
-12, so class_number_twelfths returns the integer 12 H_k(D), the form window
-sums add before they divide by 12 once.  H_k(D) is also
+discriminant; H_k(D) additionally requires gcd(f, k) = 1, so H_|D|(D) is
+h(D)/w(D).  Every w divides 12, so class_number_twelfths returns the
+integer 12 H_k(D), the one class-number entry point: window sums add these
+integers and divide by 12 once.  H_k(D) is also
 computable in a single pass over all reduced forms of discriminant D
 (imprimitive ones included), weighting a form of content f by 1/4 when it is
 f*(x^2 + y^2), by 1/6 when it is f*(x^2 + xy + y^2), and by 1/2 otherwise;
@@ -19,11 +20,9 @@ Class numbers live in one in-process store, the per-discriminant memo
 _cache of 12 H(d).  Each entry counts the reduced forms of d by leading
 coefficient a, from the number of square roots of d mod 4a, which is
 multiplicative in a (Cohen, GTM 138, 5.3); only a narrow band of a near
-sqrt(|d|/3) scans b.  h(d) and H_k(d) follow by Moebius inversion over the
+sqrt(|d|/3) scans b.  H_k(d) follows by Moebius inversion over the
 levels f.  reduced_forms, the plain enumeration by a and b, is the
-independent walk behind the weighted route.  numpy is imported only inside
-the series l_value_series, a test-time oracle, so importing this module
-does not load it.
+independent walk behind the weighted route.
 """
 
 from __future__ import annotations
@@ -36,37 +35,21 @@ from typing import Iterator, NamedTuple
 from .arith import factorize, kronecker, primes_up_to
 
 
-class ClassData(NamedTuple):
-    h: int  # class number: primitive reduced forms
-    w: int  # units of the order: 6 at -3, 4 at -4, else 2
-
-
 class LSeriesValue(NamedTuple):
     value: float
     tail_bound: float
 
 
-# class_number_twelfths and class_data refuse any |d| at or above this bound.
+# class_number_twelfths refuses any |d| at or above this bound.
 CLASS_SCAN_CAP = 2**26
 
 # Memoized 12 H(d), one entry per discriminant.  The package runs on one thread.
 _cache: dict[int, int] = {}
-# Always empty: perfbench/tracer.py reads these two names to count table hits.
-_h_table = None
-_h_table_limit = 0
 
 
 def _require_discriminant(d: int) -> None:
     if d >= 0 or d % 4 not in (0, 1):
         raise ValueError(f"{d} is not a negative discriminant (need d < 0, d = 0,1 mod 4)")
-
-
-def _unit_count(d: int) -> int:
-    if d == -3:
-        return 6
-    if d == -4:
-        return 4
-    return 2
 
 
 def reduced_forms(d: int) -> Iterator[tuple[int, int, int]]:
@@ -186,26 +169,6 @@ def _twelfths(d: int) -> int:
     return hit
 
 
-def class_data(d: int) -> ClassData:
-    """Class number and unit count of the order of discriminant d.
-
-    h(d)/w(d) is H_k(d) at k = |d|, where only the level f = 1 is coprime to
-    k.  |d| at or above CLASS_SCAN_CAP raises ValueError before any count.
-    """
-    w = _unit_count(d)
-    return ClassData(class_number_twelfths(d, -d) * w // 12, w)
-
-
-def kronecker_class_number(d: int) -> Fraction:
-    """Weighted class number H(d): sum of h(d/f^2)/w(d/f^2) over f^2 | d."""
-    return kronecker_class_number_restricted(d, 1)
-
-
-def kronecker_class_number_restricted(d: int, k: int) -> Fraction:
-    """H_k(d): the H(d) sum restricted to levels f with gcd(f, k) = 1."""
-    return Fraction(class_number_twelfths(d, k), 12)
-
-
 def class_number_twelfths(d: int, k: int) -> int:
     """12 H_k(d), an integer: each w(d/f^2) in {2, 4, 6} divides 12.
 
@@ -261,9 +224,8 @@ def kronecker_class_number_weighted(d: int, k: int) -> Fraction:
 
 
 def l_value_exact(d: int) -> float:
-    """L(1, (d/.)) via the class number formula: 2*pi*h / (w*sqrt(|d|))."""
-    h, w = class_data(d)
-    return 2.0 * math.pi * h / (w * math.sqrt(-d))
+    """L(1, (d/.)) = 2*pi*h / (w*sqrt(|d|)), the class number formula; h/w = H_|d|(d)."""
+    return math.pi * class_number_twelfths(d, -d) / (6.0 * math.sqrt(-d))
 
 
 # Partial-summation constant: tail of sum (d/n)/n beyond X is at most
@@ -272,20 +234,39 @@ def l_value_exact(d: int) -> float:
 _PV_CONSTANT = 2.0
 
 
+def _digamma(z: float) -> float:
+    """psi(z) for z > 0: shifted up to z >= 8, then the asymptotic series.
+
+    The series stops at the B_14 term; the first omitted term is below
+    2e-15 at z = 8.
+    """
+    shift = 0.0
+    while z < 8.0:
+        shift += 1.0 / z
+        z += 1.0
+    w = 1.0 / (z * z)
+    series = w * (1 / 12 - w * (1 / 120 - w * (1 / 252 - w * (
+        1 / 240 - w * (1 / 132 - w * (691 / 32760 - w / 12))))))
+    return math.log(z) - 0.5 / z - series - shift
+
+
 def l_value_series(d: int, x: int) -> LSeriesValue:
     """Partial sum of L(1, (d/.)) up to x, with a rigorous tail bound.
 
     tail_bound = 2 * sqrt(|d|) * log|d| / x.  The symbol (d/n) is periodic
-    mod |d|, so one period is tabulated.  This oracle needs numpy, which is
-    a dependency of the test extra only, not of the package.
+    mod q = |d|, so the terms n = r + jq <= x of one residue class r sum to
+    (psi(r/q + J_r) - psi(r/q)) / q, with J_r such terms: one digamma
+    difference per class instead of x terms.
     """
     _require_discriminant(d)
-    if x < -d:
-        raise ValueError(f"series cutoff {x} is below |d| = {-d}")
-    import numpy as np
-
-    period = np.array([0] + [kronecker(d, n) for n in range(1, -d)], dtype=np.int8)
-    n = np.arange(1, x + 1, dtype=np.int64)
-    value = float(np.sum(period[n % (-d)] / n))
-    tail = _PV_CONSTANT * math.sqrt(-d) * math.log(-d) / x
-    return LSeriesValue(value, tail)
+    q = -d
+    if x < q:
+        raise ValueError(f"series cutoff {x} is below |d| = {q}")
+    total = 0.0
+    for r in range(1, q):
+        chi = kronecker(d, r)
+        if chi:
+            z = r / q
+            total += chi * (_digamma(z + (x - r) // q + 1) - _digamma(z))
+    tail = _PV_CONSTANT * math.sqrt(q) * math.log(q) / x
+    return LSeriesValue(total / q, tail)

@@ -174,6 +174,7 @@ def test_criterion_9_byte_determinism():
             ["verify", "local"],
             ["verify", "constants"],
             ["verify", "identity"],
+            ["verify", "classnumbers"],
             ["grid", "--mmax", "3", "--kmax", "50"],
             ["--format", "json", "--threads", "4", "grid", "--mmax", "2", "--kmax", "8"],
         ]

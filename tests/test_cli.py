@@ -168,6 +168,7 @@ def test_verify_suites_pass(capsys):
         ["verify", "local"],
         ["verify", "constants", "--nmax", "6", "--mmax", "2", "--kmax", "3", "--lmax", "7"],
         ["verify", "identity", "--nmax", "60"],
+        ["verify", "classnumbers", "--nmax", "100"],
     ]:
         code, out = run_cli(capsys, args)
         assert code == 0, args
@@ -201,6 +202,18 @@ def test_verify_detects_mismatch(capsys, monkeypatch):
     assert doc["mismatches"] == 1
 
 
+def test_verify_classnumbers_detects_mismatch(capsys, monkeypatch):
+    real = quadforms.class_number_twelfths
+    monkeypatch.setattr(quadforms, "class_number_twelfths",
+                        lambda d, k: real(d, k) + ((d, k) == (-23, 1)))
+    code, out = run_cli(capsys, ["--format", "json", "verify", "classnumbers", "--nmax", "30"])
+    assert code == 1
+    doc = json.loads(out)
+    jsonschema.validate(doc, load_schema())
+    assert doc["mismatches"] == 1
+    assert [r for r in doc["rows"] if not r[3]] == [["twelfths d=-23 k=1", "19", "18", False]]
+
+
 USAGE_ERRORS = [
     ["mg", "--m", "0", "--k", "1"],
     ["bogus"],
@@ -216,6 +229,7 @@ USAGE_ERRORS = [
     ["--cutoff", "10", "mg", "--m", "1", "--k", "1"],
     ["matrix", "--n", "4", "--l", "4", "--e", "1"],
     ["constants", "--m", "1", "--k", "1", "--n", "0"],
+    ["mn", "--n", "4", "--x", "-3"],
     ["--seed", "0", "mg", "--m", "1", "--k", "1"],
     ["--class-cache", "cache.csv", "mg", "--m", "1", "--k", "1"],
     # orders from 2^64 up: a Hasse window that reaches 2^64, and an order factorize refuses
@@ -294,16 +308,21 @@ def test_matrix_modulus_cap_is_a_usage_error(capsys):
     assert err == "error: modulus 2^100000000 exceeds 2^64\n"
 
 
-# Runs main in a fresh interpreter and reports, after the output, whether numpy was loaded.
-_NUMPY_PROBE = (
-    "import sys; from curvecensus.cli import main; code = main(sys.argv[1:]); "
-    "print('numpy' in sys.modules); sys.exit(code)"
+# Runs a statement in a fresh interpreter and prints, after its output, the top-level
+# modules it loaded that are neither in the standard library nor curvecensus.  Modules
+# loaded before the statement, such as an editable install's path hook, are not counted.
+_IMPORT_PROBE = (
+    "import sys; before = set(sys.modules); code = 0; {}; "
+    "print(sorted({{m.partition('.')[0] for m in set(sys.modules) - before}}"
+    " - set(sys.stdlib_module_names) - {{'curvecensus'}})); sys.exit(code)"
 )
-# The same report after the L(1) series, which tabulates one character period with numpy.
-_NUMPY_CONTROL = (
-    "import sys; from curvecensus import quadforms; quadforms.l_value_series(-4, 10); "
-    "print('numpy' in sys.modules)"
-)
+
+
+def _foreign_modules(statement, *args):
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE.format(statement), *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
 
 
 @pytest.mark.parametrize("args", [
@@ -318,19 +337,15 @@ _NUMPY_CONTROL = (
     ["mg", "--m", "2", "--k", "30", "--per-prime"],
     ["grid", "--mmax", "2", "--kmax", "4"],
     ["verify", "identity", "--nmax", "50"],
+    ["verify", "classnumbers"],
 ])
-def test_no_command_imports_numpy(args):
-    # only l_value_series imports numpy, to tabulate a character period
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *args],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+def test_no_command_loads_a_module_outside_the_stdlib(args):
+    run_main = "from curvecensus.cli import main; code = main(sys.argv[1:])"
+    assert _foreign_modules(run_main, *args) == "[]"
 
 
-def test_numpy_probe_sees_the_l_value_series():
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_CONTROL], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "True"
+def test_import_probe_sees_a_third_party_module():
+    assert "'jsonschema'" in _foreign_modules("import curvecensus, jsonschema")
 
 
 def test_out_file(capsys, tmp_path):

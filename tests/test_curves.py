@@ -177,8 +177,8 @@ def test_lower_bound_from_level_one():
     # the f=1 level alone already contributes h/w
     for m, k, p in [(1, 5, 5), (2, 3, 13), (1, 12, 11), (3, 2, 19)]:
         d = trace_discriminant(m, k, p)
-        h, w = quadforms.class_data(d)
-        assert m_p_of_group(m, k, p) >= Fraction(h, w)
+        # h/w = H_|d|(d)
+        assert m_p_of_group(m, k, p) >= Fraction(quadforms.class_number_twelfths(d, -d), 12)
 
 
 def test_delta_examples():

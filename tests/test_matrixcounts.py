@@ -1,6 +1,6 @@
+from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from curvecensus import matrixcounts as mc
@@ -9,14 +9,10 @@ from curvecensus.matrixcounts import MatrixCountQuery as Q
 
 
 def _gl2_brute(mod: int, ell: int) -> int:
-    rng = np.arange(mod, dtype=np.int64)
-    b, c = np.meshgrid(rng, rng, indexing="ij")
-    bc = (b.ravel() * c.ravel()) % mod
-    total = 0
-    for a in rng:
-        for d in rng:
-            total += int(np.count_nonzero((a * d - bc) % ell != 0))
-    return total
+    # (a, b, c, d) mod `mod` is invertible when ad - bc is a unit mod ell
+    ad = Counter(a * d % ell for a in range(mod) for d in range(mod))
+    bc = Counter(b * c % ell for b in range(mod) for c in range(mod))
+    return sum(ad[x] * bc[y] for x in ad for y in bc if x != y)
 
 
 def test_gl2_order_examples():

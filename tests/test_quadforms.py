@@ -1,19 +1,19 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from curvecensus import quadforms
 from curvecensus.quadforms import (
-    class_data,
     class_number_twelfths,
-    kronecker_class_number,
-    kronecker_class_number_restricted,
     kronecker_class_number_weighted,
     l_value_exact,
     l_value_series,
 )
+
+
+def _units(d):
+    return {-3: 6, -4: 4}.get(d, 2)
 
 
 def _reduce_form(a, b, c, d):
@@ -51,32 +51,13 @@ def _class_number_oracle(d):
     return len(reps)
 
 
-def test_class_data_examples():
-    assert class_data(-3) == (1, 6)
-    assert class_data(-4) == (1, 4)
-    assert class_data(-23) == (3, 2)
-
-
-def test_class_data_rejects_non_discriminants():
-    for bad in (0, 5, -1, -2, -5, -6, -10):
-        with pytest.raises(ValueError):
-            class_data(bad)
-
-
-def test_class_data_refuses_the_scan_cap():
-    for d in (-quadforms.CLASS_SCAN_CAP, -(10**15)):
-        with pytest.raises(ValueError, match="cap"):
-            class_data(d)
-        assert d not in quadforms._cache
-
-
 def test_class_number_against_reduction_oracle():
     for d in range(-200, 0):
         if d % 4 in (0, 1):
-            assert class_data(d).h == _class_number_oracle(d), d
+            assert class_number_twelfths(d, -d) * _units(d) == 12 * _class_number_oracle(d), d
 
 
-def test_class_data_matches_reduced_form_count():
+def test_class_number_matches_reduced_form_count():
     # the count from roots mod 4a against the primitive forms of the plain walk by a and b
     for d in range(-2000, 0):
         if d % 4 not in (0, 1):
@@ -86,13 +67,13 @@ def test_class_data_matches_reduced_form_count():
             for a, b, c in quadforms.reduced_forms(d)
             if math.gcd(math.gcd(a, b), c) == 1
         )
-        assert class_data(d).h == h, d
+        assert class_number_twelfths(d, -d) * _units(d) == 12 * h, d
 
 
 def _check_against_walk(d, ks):
-    # class_data and class_number_twelfths against the reduced forms of the walk by a and b
+    # class_number_twelfths against the reduced forms of the walk by a and b
     primitive = sum(1 for a, b, c in quadforms.reduced_forms(d) if math.gcd(a, b, c) == 1)
-    assert class_data(d).h == primitive, d
+    assert class_number_twelfths(d, -d) * _units(d) == 12 * primitive, d
     for k in ks:
         assert class_number_twelfths(d, k) == 12 * kronecker_class_number_weighted(d, k), (d, k)
 
@@ -126,48 +107,55 @@ def test_seeded_discriminants_up_to_4_million():
 
 
 def test_kronecker_class_number_examples():
-    assert kronecker_class_number(-4) == Fraction(1, 4)
-    assert kronecker_class_number(-12) == Fraction(2, 3)
-    assert kronecker_class_number(-16) == Fraction(3, 4)
-    assert kronecker_class_number(-7) == Fraction(1, 2)
-    assert kronecker_class_number(-20) == 1
+    # H(d) = H_1(d): 1/4, 2/3, 3/4, 1/2 and 1
+    assert class_number_twelfths(-4, 1) == 3
+    assert class_number_twelfths(-12, 1) == 8
+    assert class_number_twelfths(-16, 1) == 9
+    assert class_number_twelfths(-7, 1) == 6
+    assert class_number_twelfths(-20, 1) == 12
 
 
 def test_restricted_examples():
-    assert kronecker_class_number_restricted(-16, 2) == Fraction(1, 2)
-    assert kronecker_class_number_restricted(-12, 3) == Fraction(2, 3)
+    # H_2(-16) = 1/2 and H_3(-12) = 2/3
+    assert class_number_twelfths(-16, 2) == 6
+    assert class_number_twelfths(-12, 3) == 8
+    # h/w = H_|d|(d): h(-3) = 1, w = 6; h(-4) = 1, w = 4; h(-23) = 3, w = 2
+    assert class_number_twelfths(-3, 3) == 2
+    assert class_number_twelfths(-4, 4) == 3
+    assert class_number_twelfths(-23, 23) == 18
 
 
 def test_restriction_at_one_is_unrestricted():
+    # 12 H_1(d) sums 12 h/w = 12 H_|d0|(d0) over every level d0 = d/f^2
     for d in range(-(10**4), 0):
-        if d % 4 in (0, 1):
-            assert kronecker_class_number_restricted(d, 1) == kronecker_class_number(d)
-
-
-def test_weighted_enumeration_agrees_with_level_sum():
-    for d in range(-5000, 0):
         if d % 4 not in (0, 1):
             continue
-        for k in range(1, 13):
-            assert kronecker_class_number_weighted(d, k) == kronecker_class_number_restricted(d, k), (d, k)
+        levels = [d // (f * f) for f in range(1, math.isqrt(-d) + 1) if d % (f * f) == 0]
+        assert class_number_twelfths(d, 1) == sum(
+            class_number_twelfths(d0, -d0) for d0 in levels if d0 % 4 in (0, 1)), d
 
 
 def test_twelfths_match_the_weighted_walk():
     # reduced_forms is an independent route to the same integer 12 H_k(d)
-    for d in range(-3000, 0):
+    for d in range(-5000, 0):
         if d % 4 not in (0, 1):
             continue
-        for k in (1, 2, 3, 4, 6, 12, 35):
+        for k in (*range(1, 13), 35):
             twelfths = class_number_twelfths(d, k)
             assert type(twelfths) is int
             assert twelfths == 12 * kronecker_class_number_weighted(d, k), (d, k)
 
 
 def test_twelfths_reject_bad_input():
-    with pytest.raises(ValueError):
-        class_number_twelfths(-5, 1)
+    for bad in (0, 5, -1, -2, -5, -6, -10):
+        with pytest.raises(ValueError):
+            class_number_twelfths(bad, 1)
     with pytest.raises(ValueError):
         class_number_twelfths(-4, 0)
+    for d in (-quadforms.CLASS_SCAN_CAP, -(10**15)):
+        with pytest.raises(ValueError, match="cap"):
+            class_number_twelfths(d, -d)
+        assert d not in quadforms._cache
 
 
 def test_values_are_nonnegative_with_denominator_dividing_12():
@@ -175,9 +163,9 @@ def test_values_are_nonnegative_with_denominator_dividing_12():
         if d % 4 not in (0, 1):
             continue
         for k in (1, 2, 3, 5, 12):
-            v = kronecker_class_number_restricted(d, k)
-            assert v >= 0
-            assert 12 % v.denominator == 0
+            # H_k(d) has a denominator dividing 12 exactly when 12 H_k(d) is an integer
+            v = class_number_twelfths(d, k)
+            assert type(v) is int and v >= 0
 
 
 def test_l_value_exact_examples():
