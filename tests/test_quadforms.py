@@ -51,6 +51,26 @@ def _class_number_oracle(d):
     return len(reps)
 
 
+def test_class_data_examples():
+    # h/w = H_|d|(d): h(-3) = 1, w = 6; h(-4) = 1, w = 4; h(-23) = 3, w = 2
+    assert class_number_twelfths(-3, 3) == 2
+    assert class_number_twelfths(-4, 4) == 3
+    assert class_number_twelfths(-23, 23) == 18
+
+
+def test_class_data_rejects_non_discriminants():
+    for bad in (0, 5, -1, -2, -5, -6, -10):
+        with pytest.raises(ValueError):
+            class_number_twelfths(bad, 1)
+
+
+def test_class_data_refuses_the_scan_cap():
+    for d in (-quadforms.CLASS_SCAN_CAP, -(10**15)):
+        with pytest.raises(ValueError, match="cap"):
+            class_number_twelfths(d, -d)
+        assert d not in quadforms._cache
+
+
 def test_class_number_against_reduction_oracle():
     for d in range(-200, 0):
         if d % 4 in (0, 1):
@@ -119,10 +139,6 @@ def test_restricted_examples():
     # H_2(-16) = 1/2 and H_3(-12) = 2/3
     assert class_number_twelfths(-16, 2) == 6
     assert class_number_twelfths(-12, 3) == 8
-    # h/w = H_|d|(d): h(-3) = 1, w = 6; h(-4) = 1, w = 4; h(-23) = 3, w = 2
-    assert class_number_twelfths(-3, 3) == 2
-    assert class_number_twelfths(-4, 4) == 3
-    assert class_number_twelfths(-23, 23) == 18
 
 
 def test_restriction_at_one_is_unrestricted():
@@ -135,27 +151,34 @@ def test_restriction_at_one_is_unrestricted():
             class_number_twelfths(d0, -d0) for d0 in levels if d0 % 4 in (0, 1)), d
 
 
-def test_twelfths_match_the_weighted_walk():
-    # reduced_forms is an independent route to the same integer 12 H_k(d)
+def test_weighted_enumeration_agrees_with_level_sum():
+    # H_k(d) is the sum of h/w = H_|d0|(d0) over the levels d0 = d/f^2 with gcd(f, k) = 1
     for d in range(-5000, 0):
         if d % 4 not in (0, 1):
             continue
-        for k in (*range(1, 13), 35):
+        levels = [(f, d // (f * f)) for f in range(1, math.isqrt(-d) + 1) if d % (f * f) == 0]
+        for k in range(1, 13):
+            level_sum = sum(class_number_twelfths(d0, -d0) for f, d0 in levels
+                            if d0 % 4 in (0, 1) and math.gcd(f, k) == 1)
+            assert 12 * kronecker_class_number_weighted(d, k) == level_sum, (d, k)
+
+
+def test_twelfths_match_the_weighted_walk():
+    # reduced_forms is an independent route to the same integer 12 H_k(d)
+    for d in range(-3000, 0):
+        if d % 4 not in (0, 1):
+            continue
+        for k in (1, 2, 3, 4, 6, 12, 35):
             twelfths = class_number_twelfths(d, k)
             assert type(twelfths) is int
             assert twelfths == 12 * kronecker_class_number_weighted(d, k), (d, k)
 
 
 def test_twelfths_reject_bad_input():
-    for bad in (0, 5, -1, -2, -5, -6, -10):
-        with pytest.raises(ValueError):
-            class_number_twelfths(bad, 1)
+    with pytest.raises(ValueError):
+        class_number_twelfths(-5, 1)
     with pytest.raises(ValueError):
         class_number_twelfths(-4, 0)
-    for d in (-quadforms.CLASS_SCAN_CAP, -(10**15)):
-        with pytest.raises(ValueError, match="cap"):
-            class_number_twelfths(d, -d)
-        assert d not in quadforms._cache
 
 
 def test_values_are_nonnegative_with_denominator_dividing_12():
