@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Deterministic for all n < 3.3 * 10^24, in particular all 64-bit inputs.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -86,23 +86,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Complete prime factorization: value == prod(p**e), primes ascending."""
+class Factorization(namedtuple("Factorization", "value factors")):
+    """Complete prime factorization: value == prod(p**e), primes ascending.
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    An immutable, hashable tuple (value, factors), checked when it is built.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, value: int, factors: tuple[tuple[int, int], ...]):
         prod = 1
         last = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last or e < 1:
-                raise ValueError(f"malformed factorization of {self.value}")
+                raise ValueError(f"malformed factorization of {value}")
             last = p
             prod *= p**e
-        if prod != self.value:
-            raise ValueError(f"factorization does not multiply back to {self.value}")
+        if prod != value:
+            raise ValueError(f"factorization does not multiply back to {value}")
+        return super().__new__(cls, value, factors)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks the new fields too
+        return cls(*fields)
 
 
 def _brent_rho(n: int) -> int:
@@ -222,17 +228,21 @@ def _primes_tuple(n: int) -> tuple[int, ...]:
         return ()
     if n > SIEVE_CAP:
         raise ValueError(f"prime sieve up to {n} exceeds {SIEVE_CAP}")
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start: n + 1: p] = bytearray(len(range(start, n + 1, p)))
-    return tuple(itertools.compress(range(n + 1), sieve))
+    # odd numbers only: sieve[i] stands for 2i + 1; the odd multiples of p from
+    # p*p on are 2p apart, so p apart in the index
+    size = (n + 1) // 2
+    sieve = bytearray([1]) * size
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = bytes(len(range(start, size, p)))
+    return (2, *itertools.compress(range(1, n + 1, 2), sieve))
 
 
 def primes_up_to(n: int) -> list[int]:
-    """Primes <= n by sieve of Eratosthenes (memoized for repeated cutoffs).
+    """Primes <= n by an odd-only sieve of Eratosthenes (memoized per n).
 
     A bound above SIEVE_CAP raises ValueError before anything is allocated.
     """

@@ -11,6 +11,8 @@ is accepted, validated and echoed in the JSON config for compatibility, and
 changes neither the work nor the output.  Class numbers are counted per
 discriminant on first use and memoized in memory for the run; nothing is
 cached on disk, and no command loads a module outside the standard library.
+The import loads only what a command uses: the records are named tuples,
+and json or csv is imported only for the format a request writes.
 
 The argparse parser is the only place input is checked and the only
 dispatch table: its type converters bound every number and path, and each
@@ -24,9 +26,7 @@ at or above 2^64, is one `error: ...` line on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import os
 import sys
@@ -51,6 +51,8 @@ def _fmt_frac(x: Fraction | int) -> str:
 def _emit(args, columns: list[str], rows: list[list],
           summary: dict | None = None, mismatches: int | None = None) -> None:
     if args.format == "json":
+        import json
+
         doc: dict = {"command": args.command}
         if mismatches is not None:
             doc["suite"] = args.suite
@@ -68,6 +70,8 @@ def _emit(args, columns: list[str], rows: list[list],
             doc["mismatches"] = mismatches
         text = json.dumps(doc, indent=2) + "\n"
     else:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)

@@ -17,7 +17,6 @@ quintuples for p in {2, 3}).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -41,8 +40,7 @@ class GroupShape(NamedTuple):
         return self.m * self.m * self.k
 
 
-@dataclass
-class CurveTally:
+class CurveTally(NamedTuple):
     """Oracle output for one prime: weighted counts per group shape."""
 
     p: int

@@ -25,10 +25,10 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .arith import euler_phi, factorize, kronecker, primes_up_to, valuation
+from .arith import _primes_tuple, euler_phi, factorize, kronecker, valuation
 from .errors import ConsistencyError
 
 DEFAULT_CUTOFF = 100_000
@@ -39,8 +39,7 @@ DEFAULT_CUTOFF = 100_000
 _TAIL_LOG_CONSTANT = 4.0
 
 
-@dataclass
-class LocalFactorTable:
+class LocalFactorTable(NamedTuple):
     """The primes of a truncated float product, its value and its tail bound.
 
     The exact factor at a prime is group_factor or order_factor.
@@ -99,7 +98,7 @@ def _generic_floats(cutoff: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
     int / int division is correctly rounded, and the fraction is in lowest
     terms, so each float equals that of the exact generic factor.
     """
-    primes = tuple(primes_up_to(cutoff))
+    primes = _primes_tuple(cutoff)  # the memoized sieve itself, not a copy
     return primes, tuple(ell * (ell - 2) / (ell - 1) ** 2 for ell in primes)
 
 

@@ -13,8 +13,7 @@ tuples, back every closed form.
 from __future__ import annotations
 
 import functools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .arith import is_prime, kronecker, valuation
@@ -26,28 +25,30 @@ BRUTE_BUDGET = 10**8
 MODULUS_BITS = 64
 
 
-@dataclass(frozen=True)
-class MatrixCountQuery:
+class MatrixCountQuery(namedtuple("MatrixCountQuery", "n_order n_torsion ell e")):
     """One fiber-count query: order N, torsion level n, prime power l^e.
 
     n plays its role only through the l-adic valuation; levels with
-    valuation beyond half that of N simply give empty counts.
+    valuation beyond half that of N simply give empty counts.  An immutable,
+    hashable tuple (n_order, n_torsion, ell, e), checked when it is built.
     """
 
-    n_order: int
-    n_torsion: int
-    ell: int
-    e: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_order < 1 or self.n_torsion < 1:
+    def __new__(cls, n_order: int, n_torsion: int, ell: int, e: int):
+        if n_order < 1 or n_torsion < 1:
             raise ValueError("order and torsion level must be >= 1")
-        if self.e < 1:
-            raise ValueError(f"exponent must be >= 1, got {self.e}")
-        if not is_prime(self.ell):
-            raise ValueError(f"{self.ell} is not prime")
-        if self.e > MODULUS_BITS or self.ell**self.e > 2**MODULUS_BITS:
-            raise ValueError(f"modulus {self.ell}^{self.e} exceeds 2^{MODULUS_BITS}")
+        if e < 1:
+            raise ValueError(f"exponent must be >= 1, got {e}")
+        if not is_prime(ell):
+            raise ValueError(f"{ell} is not prime")
+        if e > MODULUS_BITS or ell**e > 2**MODULUS_BITS:
+            raise ValueError(f"modulus {ell}^{e} exceeds 2^{MODULUS_BITS}")
+        return super().__new__(cls, n_order, n_torsion, ell, e)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks the new fields too
+        return cls(*fields)
 
 
 def gl2_order(ell: int, e: int) -> int:

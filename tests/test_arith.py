@@ -150,6 +150,29 @@ def test_primes_up_to():
     assert arith.primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     ps = arith.primes_up_to(10000)
     assert len(ps) == 1229 and ps[-1] == 9973
+    # the odd-only sieve at every bound up to 12, where its edges sit, and at the
+    # default Euler-product cutoff
+    for n in [*range(13), 10**5]:
+        assert arith.primes_up_to(n) == [p for p in range(n + 1) if arith.is_prime(p)], n
+
+
+def test_factorization_is_a_checked_immutable_record():
+    with pytest.raises(ValueError) as exc:
+        arith.Factorization(12, ((3, 1), (2, 2)))
+    assert str(exc.value) == "malformed factorization of 12"
+    with pytest.raises(ValueError) as exc:
+        arith.Factorization(12, ((2, 2), (3, 2)))
+    assert str(exc.value) == "factorization does not multiply back to 12"
+    fac = arith.factorize(12)
+    assert repr(fac) == "Factorization(value=12, factors=((2, 2), (3, 1)))"
+    assert fac == (12, ((2, 2), (3, 1)))  # a tuple of its fields
+    with pytest.raises(AttributeError):
+        fac.value = 24
+    with pytest.raises(AttributeError):
+        fac.extra = 0
+    assert {fac: 1}[arith.factorize(12)] == 1
+    with pytest.raises(ValueError, match="does not multiply back"):
+        fac._replace(value=24)
 
 
 def test_primes_up_to_refuses_a_sieve_above_the_cap():

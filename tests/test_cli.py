@@ -309,20 +309,25 @@ def test_matrix_modulus_cap_is_a_usage_error(capsys):
 
 
 # Runs a statement in a fresh interpreter and prints, after its output, the top-level
-# modules it loaded that are neither in the standard library nor curvecensus.  Modules
-# loaded before the statement, such as an editable install's path hook, are not counted.
+# modules it loaded.  Modules loaded before the statement, such as an editable install's
+# path hook or whatever site imports at start-up, are not counted.
 _IMPORT_PROBE = (
     "import sys; before = set(sys.modules); code = 0; {}; "
-    "print(sorted({{m.partition('.')[0] for m in set(sys.modules) - before}}"
-    " - set(sys.stdlib_module_names) - {{'curvecensus'}})); sys.exit(code)"
+    "print(*sorted({{m.partition('.')[0] for m in set(sys.modules) - before}})); sys.exit(code)"
 )
 
 
-def _foreign_modules(statement, *args):
+def _new_modules(statement, *args):
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE.format(statement), *args],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _foreign_modules(statement, *args):
+    """The new modules outside the standard library and curvecensus, as a sorted list's repr."""
+    new = _new_modules(statement, *args)
+    return str(sorted(new - set(sys.stdlib_module_names) - {"curvecensus"}))
 
 
 @pytest.mark.parametrize("args", [
@@ -346,6 +351,17 @@ def test_no_command_loads_a_module_outside_the_stdlib(args):
 
 def test_import_probe_sees_a_third_party_module():
     assert "'jsonschema'" in _foreign_modules("import curvecensus, jsonschema")
+
+
+def test_the_import_loads_only_what_the_command_uses():
+    # dataclasses alone brings inspect, ast, dis and tokenize
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "json", "csv"}
+    assert _new_modules("import curvecensus.cli") & heavy == set()
+    run_main = "from curvecensus.cli import main; code = main(sys.argv[1:])"
+    loaded = _new_modules(run_main, "--format", "json", "mn", "--n", "100")
+    assert "json" in loaded and "csv" not in loaded
+    loaded = _new_modules(run_main, "mg", "--m", "1", "--k", "2")
+    assert "csv" in loaded and "json" not in loaded
 
 
 def test_out_file(capsys, tmp_path):

@@ -51,6 +51,25 @@ def test_count_c_closed_examples():
         mc.count_c_closed(Q(4, 1, 2, 2))  # e = v not allowed
 
 
+def test_query_is_a_checked_immutable_record():
+    for args, message in [
+        ((0, 1, 3, 1), "order and torsion level must be >= 1"),
+        ((1, 1, 3, 0), "exponent must be >= 1, got 0"),
+        ((1, 1, 4, 1), "4 is not prime"),
+        ((1, 1, 3, 41), "modulus 3^41 exceeds 2^64"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            Q(*args)
+        assert str(exc.value) == message, args
+    q = Q(4, 2, 2, 3)
+    assert repr(q) == "MatrixCountQuery(n_order=4, n_torsion=2, ell=2, e=3)"
+    with pytest.raises(AttributeError):
+        q.e = 4
+    assert {q: 1}[Q(4, 2, 2, 3)] == 1
+    with pytest.raises(ValueError, match="not prime"):
+        q._replace(ell=4)
+
+
 def test_count_c_brute_budget():
     with pytest.raises(ValueError):
         mc.count_c_brute(Q(1, 1, 101, 2))
