@@ -41,6 +41,7 @@ from .localfactors import (
     k_of_order,
     p_of_ell,
     script_j,
+    script_j_by_levels,
     t_closed_form,
     t_of_n,
 )

@@ -296,9 +296,8 @@ def _suite_local() -> list[list]:
                 )
     for m in range(1, 9):
         for k in range(1, 9):
-            val = localfactors.script_j(m, k)  # raises on dual-route mismatch
-            ok = val in (Fraction(2, 3), Fraction(1), Fraction(3, 2))
-            rows.append([f"scriptJ m={m} k={k}", _fmt_frac(val), _fmt_frac(val), ok])
+            rows.append(_check(f"scriptJ m={m} k={k}", localfactors.script_j(m, k),
+                               localfactors.script_j_by_levels(m, k)))
     return rows
 
 
@@ -459,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run a dual-route verification suite")
     p.add_argument("suite", choices=_SUITES)
     p.add_argument("--pmax", type=_int_in(2, curves.ORACLE_PRIME_CAP), default=13)
-    p.add_argument("--lmax", type=_int_in(1), default=3)
+    p.add_argument("--lmax", type=_int_in(2), default=3)
     p.add_argument("--emax", type=_int_in(1), default=3)
     p.add_argument("--nmax", type=_int_in(1), default=None)
     p.add_argument("--mmax", type=_int_in(1), default=3)

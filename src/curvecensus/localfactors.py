@@ -15,9 +15,11 @@ in ascending order of l, each the correctly rounded value of its exact
 factor, so the product is the same float as the exact factors rounded and
 multiplied one by one.
 
-T(n), P(l) and the 2-adic quantities J_r(v), script J are the local sums
-the main-term analysis rests on; each has an enumeration route (the
-definition) and a closed form, and the pair is kept side by side.
+T(n), P(l) and the 2-adic constant script J are the local sums the
+main-term analysis rests on.  Each has a closed form, which production
+uses, and an enumeration route from the definition (for script J, the
+counts J_r(v) level by level), the oracle that `verify local` and the
+tests compare it with.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import _primes_tuple, euler_phi, factorize, kronecker, valuation
-from .errors import ConsistencyError
+from .arith import euler_phi, factorize, kronecker, primes_up_to, valuation
 
 DEFAULT_CUTOFF = 100_000
 
@@ -54,18 +55,17 @@ class LocalFactorTable(NamedTuple):
 def aut_order(m: int, k: int) -> int:
     """Order of the automorphism group of Z/m x Z/mk.
 
-    #Aut / #G = m phi(m) (phi(k)/k) prod over l | m, l not | k of (1 - 1/l^2);
-    the rational expression always clears to an integer.
+    #Aut / #G = m phi(m) (phi(k)/k) prod over l | m, l not | k of (1 - 1/l^2),
+    so #Aut = m^3 phi(m) phi(k) times (l^2 - 1)/l^2 at each such l; every
+    division is exact, as l^3 divides m^3.
     """
     if m < 1 or k < 1:
         raise ValueError(f"invalid shape ({m}, {k})")
-    out = Fraction(m**3 * euler_phi(m) * euler_phi(k))
+    out = m**3 * euler_phi(m) * euler_phi(k)
     for ell, _ in factorize(m).factors:
         if k % ell:
-            out *= 1 - Fraction(1, ell * ell)
-    if out.denominator != 1:
-        raise ConsistencyError(f"automorphism count for ({m}, {k}) is not integral: {out}")
-    return out.numerator
+            out = out // (ell * ell) * (ell * ell - 1)
+    return out
 
 
 def generic_factor(n: int, ell: int) -> Fraction:
@@ -98,16 +98,8 @@ def _generic_floats(cutoff: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
     int / int division is correctly rounded, and the fraction is in lowest
     terms, so each float equals that of the exact generic factor.
     """
-    primes = _primes_tuple(cutoff)  # the memoized sieve itself, not a copy
+    primes = tuple(primes_up_to(cutoff))
     return primes, tuple(ell * (ell - 2) / (ell - 1) ** 2 for ell in primes)
-
-
-@functools.lru_cache(maxsize=16)
-def _unit_floats(cutoff: int) -> tuple[float, ...]:
-    """Float of every factor at N = 1: N - 1 = 0, so each prime takes
-    1 - 1/((l-1)^2 (l+1)) = (D-1)/D, under both the shape and order rules."""
-    primes, _ = _generic_floats(cutoff)
-    return tuple((d - 1) / d for d in ((ell - 1) ** 2 * (ell + 1) for ell in primes))
 
 
 def _assemble(factor_at, n: int, cutoff: int) -> LocalFactorTable:
@@ -116,7 +108,9 @@ def _assemble(factor_at, n: int, cutoff: int) -> LocalFactorTable:
     primes, generic = _generic_floats(cutoff)
     above: tuple[int, ...] = ()
     if n == 1:
-        floats = _unit_floats(cutoff)
+        # N - 1 = 0, so each prime takes 1 - 1/((l-1)^2 (l+1)) = (D-1)/D,
+        # under both the shape and order rules
+        floats = [(d - 1) / d for d in ((ell - 1) ** 2 * (ell + 1) for ell in primes)]
     else:
         dividing = [ell for ell, _ in factorize(n).factors]
         above = tuple(ell for ell in dividing if ell > cutoff)
@@ -252,32 +246,27 @@ def _script_j_level(v: int, m: int, k: int) -> Fraction:
 
 
 def script_j(m: int, k: int) -> Fraction:
-    """The 2-adic constant: sum over admissible v of level aggregates / 8^v.
-
-    Computed both from the three-branch closed form and by enumeration (the
-    v >= 3 tail is geometric with constant level value, summed exactly);
-    the routes must agree.
-    """
+    """The 2-adic constant in closed form: 2/3 for m and k odd, 3/2 for both
+    even, 1 otherwise.  script_j_by_levels is the enumeration it is checked
+    against."""
     if m < 1 or k < 1:
         raise ValueError(f"invalid shape ({m}, {k})")
     if m % 2 == 1 and k % 2 == 1:
-        closed = Fraction(2, 3)
-    elif m % 2 == 0 and k % 2 == 0:
-        closed = Fraction(3, 2)
-    else:
-        closed = Fraction(1)
+        return Fraction(2, 3)
+    if m % 2 == 0 and k % 2 == 0:
+        return Fraction(3, 2)
+    return Fraction(1)
 
+
+def script_j_by_levels(m: int, k: int) -> Fraction:
+    """The 2-adic constant by enumeration: sum over admissible v of level aggregates / 8^v.
+
+    The levels v >= 3 all take the v = 3 value, so that tail is geometric in
+    1/8 and summed exactly.
+    """
+    if m < 1 or k < 1:
+        raise ValueError(f"invalid shape ({m}, {k})")
     if k % 2 == 0:
-        enumerated = _script_j_level(0, m, k)  # (2^v, k) = 1 forces v = 0
-    else:
-        enumerated = sum(
-            (_script_j_level(v, m, k) / 8**v for v in range(3)), Fraction(0)
-        )
-        # levels v >= 3 all take the v = 3 value; geometric tail in 1/8
-        enumerated += _script_j_level(3, m, k) * Fraction(1, 8**3) / (1 - Fraction(1, 8))
-
-    if closed != enumerated:
-        raise ConsistencyError(
-            f"2-adic constant for ({m}, {k}): closed form {closed} != enumeration {enumerated}"
-        )
-    return closed
+        return _script_j_level(0, m, k)  # (2^v, k) = 1 forces v = 0
+    head = sum((_script_j_level(v, m, k) / 8**v for v in range(3)), Fraction(0))
+    return head + _script_j_level(3, m, k) * Fraction(1, 8**3) / (1 - Fraction(1, 8))

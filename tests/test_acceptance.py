@@ -124,7 +124,9 @@ def test_criterion_6_local_sums():
         allowed = {Fraction(2, 3), Fraction(1), Fraction(3, 2)}
         for m in range(1, 17):
             for k in range(1, 17):
-                assert localfactors.script_j(m, k) in allowed, (m, k)
+                closed = localfactors.script_j(m, k)
+                assert closed in allowed, (m, k)
+                assert closed == localfactors.script_j_by_levels(m, k), (m, k)
 
 
 def test_criterion_7_class_number_formula():

@@ -214,6 +214,28 @@ def test_verify_classnumbers_detects_mismatch(capsys, monkeypatch):
     assert [r for r in doc["rows"] if not r[3]] == [["twelfths d=-23 k=1", "19", "18", False]]
 
 
+def test_verify_local_detects_a_two_adic_mismatch(capsys, monkeypatch):
+    real = localfactors.script_j_by_levels
+    monkeypatch.setattr(localfactors, "script_j_by_levels",
+                        lambda m, k: real(m, k) + ((m, k) == (3, 4)))
+    code, out = run_cli(capsys, ["--format", "json", "verify", "local"])
+    assert code == 1
+    doc = json.loads(out)
+    jsonschema.validate(doc, load_schema())
+    assert doc["mismatches"] == 1
+    assert [r for r in doc["rows"] if not r[3]] == [["scriptJ m=3 k=4", "1/1", "2/1", False]]
+
+
+def test_constants_runs_no_two_adic_enumeration(capsys, monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("constants reached the 2-adic enumeration")
+
+    monkeypatch.setattr(localfactors, "j_r_v", refuse)
+    code, out = run_cli(capsys, ["constants", "--m", "1", "--k", "3"])
+    assert code == 0
+    assert ["two_adic_constant", "2/3"] in list(csv.reader(io.StringIO(out)))
+
+
 USAGE_ERRORS = [
     ["mg", "--m", "0", "--k", "1"],
     ["bogus"],
@@ -236,6 +258,9 @@ USAGE_ERRORS = [
     ["mg", "--m", "4294967296", "--k", "1"],
     ["mg", "--m", "1000000000001040000000000037111", "--k", "1"],
     ["constants", "--m", "1", "--k", "1", "--n", "1000000000001040000000000037111"],
+    # a prime bound below 2 leaves nothing to check
+    ["verify", "matrix", "--lmax", "1"],
+    ["verify", "constants", "--lmax", "1"],
 ]
 
 

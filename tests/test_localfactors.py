@@ -25,6 +25,28 @@ def test_aut_order_always_integral():
                 assert a % 2 == 0
 
 
+def _aut_order_by_count(m, k):
+    """#Aut(Z/m x Z/mk): pairs (x, y) of images of the generators (1, 0) and (0, 1),
+    of orders dividing m and mk, that generate the whole group."""
+    mk, size = m * k, m * m * k
+    elements = [(a, b) for a in range(m) for b in range(mk)]
+    first = [(a, b) for a, b in elements if (m * b) % mk == 0]  # m x = 0
+    count = 0
+    for xa, xb in first:
+        for ya, yb in elements:
+            span = {((i * xa + j * ya) % m, (i * xb + j * yb) % mk)
+                    for i in range(m) for j in range(mk)}
+            count += len(span) == size
+    return count
+
+
+def test_aut_order_matches_brute_count():
+    shapes = [(m, k) for m in range(1, 9) for k in range(1, 65) if m * m * k <= 64]
+    assert len(shapes) == 96
+    for m, k in shapes:
+        assert lf.aut_order(m, k) == _aut_order_by_count(m, k), (m, k)
+
+
 def test_shape_factor_branches():
     assert lf.group_factor(1, 7, 3) == Fraction(15, 16)  # N=7: 3 | N-1
     assert lf.group_factor(1, 5, 3) == Fraction(3, 4)  # 3 coprime to N(N-1)
@@ -196,7 +218,8 @@ def test_script_j_branch_values():
 def test_script_j_dual_route_full_grid():
     for m in range(1, 17):
         for k in range(1, 17):
-            v = lf.script_j(m, k)  # raises on any dual-route mismatch
+            v = lf.script_j(m, k)
+            assert v == lf.script_j_by_levels(m, k), (m, k)
             if m % 2 and k % 2:
                 assert v == Fraction(2, 3)
             elif m % 2 == 0 and k % 2 == 0:
@@ -206,7 +229,7 @@ def test_script_j_dual_route_full_grid():
 
 
 def test_level_aggregates_stabilize():
-    # beyond level 3 the aggregate is constant; script_j's tail sum relies on it
+    # beyond level 3 the aggregate is constant; script_j_by_levels's tail sum relies on it
     for m in range(1, 9):
         for k in range(1, 16, 2):
             v3 = lf._script_j_level(3, m, k)
