@@ -11,7 +11,11 @@ brute_force_tally is the independent oracle: it enumerates Weierstrass
 equations over F_p, counts points directly, reads off the group shape from
 the exponent, and applies the mass formula (each class corresponds to
 (p-1)/#Aut short-Weierstrass pairs for p > 3, and to (p-1)p^3/#Aut general
-quintuples for p in {2, 3}).
+quintuples for p in {2, 3}).  For p > 3 the pairs isomorphic to (a, b) are
+its orbit (u^4 a, u^6 b), u in F_p*: the oracle counts the points of one
+pair per orbit and weights that group by the orbit's size over p - 1.
+Either way the weights add up to p, and a scan whose mass is not p raises
+ConsistencyError.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .quadforms import CLASS_SCAN_CAP, class_number_twelfths
 ORDER_BOUND = 2**40
 # candidates in the whole Hasse window of ORDER_BOUND, the widest scan allowed
 _MAX_WINDOW_SCAN = 4 * math.isqrt(ORDER_BOUND) + 4
-ORACLE_PRIME_CAP = 61
+ORACLE_PRIME_CAP = 127
 
 
 class GroupShape(NamedTuple):
@@ -252,7 +256,12 @@ def _group_shape(points: list[tuple[int, int]], n: int, add) -> GroupShape:
 
 
 def _tally_large(p: int) -> CurveTally:
-    """Short Weierstrass scan for p > 3: y^2 = x^3 + ax + b, weight 1/(p-1)."""
+    """Short Weierstrass scan for p > 3: y^2 = x^3 + ax + b, weight 1/(p-1).
+
+    The first pair of each orbit {(u^4 a, u^6 b) : u in F_p*} met in the scan
+    stands for the whole isomorphism class: its points are counted and its
+    group shape found once, and the shape gains the orbit's size in pairs.
+    """
     sqrt_of = [[] for _ in range(p)]
     for y in range(p):
         sqrt_of[y * y % p].append(y)
@@ -282,28 +291,32 @@ def _tally_large(p: int) -> CurveTally:
     counts: dict[GroupShape, int] = {}
     singular = 0
     cubes = [x * x * x % p for x in range(p)]
+    scalings = {(pow(u, 4, p), pow(u, 6, p)) for u in range(1, p)}
+    seen = bytearray(p * p)
     for a in range(p):
         add = add_for(a)
         for b in range(p):
+            if seen[a * p + b]:
+                continue
             if (4 * a * a * a + 27 * b * b) % p == 0:
                 singular += 1
                 continue
+            orbit = {s * a % p * p + t * b % p for s, t in scalings}
+            for i in orbit:
+                seen[i] = 1
             points = []
             for x in range(p):
                 t = (cubes[x] + a * x + b) % p
                 for y in sqrt_of[t]:
                     points.append((x, y))
             shape = _group_shape(points, len(points) + 1, add)
-            counts[shape] = counts.get(shape, 0) + 1
+            counts[shape] = counts.get(shape, 0) + len(orbit)
 
     weight = Fraction(1, p - 1)
     entries = {s: c * weight for s, c in sorted(counts.items())}
     total = sum(entries.values(), Fraction(0))
-    expected = Fraction(p * p - singular, p - 1)
-    if total != expected:
-        raise ConsistencyError(
-            f"oracle mass {total} != ({p}^2 - {singular})/({p} - 1) = {expected}"
-        )
+    if total != p:
+        raise ConsistencyError(f"oracle mass {total} != {p} ({singular} singular pairs)")
     return CurveTally(p, entries, total)
 
 
@@ -369,8 +382,10 @@ def _tally_small(p: int) -> CurveTally:
     weight = Fraction(1, (p - 1) * p**3)
     entries = {s: c * weight for s, c in sorted(counts.items())}
     total = sum(entries.values(), Fraction(0))
-    if total != nonsingular * weight:
-        raise ConsistencyError(f"oracle mass mismatch at p = {p}")
+    if total != p:
+        raise ConsistencyError(
+            f"oracle mass {total} != {p} ({nonsingular} nonsingular quintuples)"
+        )
     return CurveTally(p, entries, total)
 
 

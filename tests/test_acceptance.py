@@ -30,10 +30,11 @@ def criterion(num: int, desc: str):
 
 
 def test_criterion_1_oracle_equivalence():
-    with criterion(1, "curve oracle equals class-number formula, p <= 61"):
+    cap = curves.ORACLE_PRIME_CAP
+    with criterion(1, f"curve oracle equals class-number formula, p <= {cap}"):
         t0 = time.time()
         compared = 0
-        for p in primes_up_to(61):
+        for p in primes_up_to(cap):
             tally = curves.brute_force_tally(p)
             shapes = set(tally.entries) | set(curves.admissible_shapes(p))
             for s in sorted(shapes):

@@ -246,7 +246,7 @@ USAGE_ERRORS = [
     ["verify", "bogus"],
     ["--threads", "0", "mg", "--m", "1", "--k", "1"],
     ["mg", "--m", "1", "--k", "1", "--threads", "0"],
-    ["verify", "oracle", "--pmax", "100"],
+    ["verify", "oracle", "--pmax", "128"],
     ["verify", "matrix", "--nmax", "0"],
     ["--cutoff", "10", "mg", "--m", "1", "--k", "1"],
     ["matrix", "--n", "4", "--l", "4", "--e", "1"],

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from curvecensus import curves, quadforms
+from curvecensus.arith import primes_up_to
 from curvecensus.curves import (
     GroupShape,
     admissible_shapes,
@@ -210,14 +211,15 @@ def test_oracle_spot_values():
 
 
 def test_oracle_rejects_large_prime_and_composite():
+    assert curves.ORACLE_PRIME_CAP == 127
     with pytest.raises(ValueError):
-        brute_force_tally(67)
+        brute_force_tally(131)
     with pytest.raises(ValueError):
         brute_force_tally(15)
 
 
 def test_oracle_tally_invariants():
-    for p in (2, 3, 5, 7, 11, 13):
+    for p in primes_up_to(curves.ORACLE_PRIME_CAP):
         tally = brute_force_tally(p)
         assert tally.total == sum(tally.entries.values(), Fraction(0))
         # every curve over F_p has mass contribution; total equals the
@@ -227,6 +229,51 @@ def test_oracle_tally_invariants():
             assert v > 0
             assert (p - 1) % m == 0
             assert (p - 1 - m * m * k) ** 2 < 4 * m * m * k
+
+
+def _per_pair_tally(p):
+    """One group law per nonsingular pair (a, b), each weighted 1/(p - 1)."""
+    counts = {}
+    for a in range(p):
+        def add(pt1, pt2):
+            if pt1 is None:
+                return pt2
+            if pt2 is None:
+                return pt1
+            (x1, y1), (x2, y2) = pt1, pt2
+            if x1 == x2 and (y1 + y2) % p == 0:
+                return None
+            if pt1 == pt2:
+                lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+            else:
+                lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+            x3 = (lam * lam - x1 - x2) % p
+            return (x3, (lam * (x1 - x3) - y1) % p)
+
+        for b in range(p):
+            if (4 * a**3 + 27 * b * b) % p == 0:
+                continue
+            points = [(x, y) for x in range(p) for y in range(p)
+                      if (y * y - x**3 - a * x - b) % p == 0]
+            shape = curves._group_shape(points, len(points) + 1, add)
+            counts[shape] = counts.get(shape, 0) + 1
+    return {s: Fraction(c, p - 1) for s, c in counts.items()}
+
+
+def test_orbit_tally_equals_per_pair_scan():
+    for p in primes_up_to(31)[2:]:
+        assert brute_force_tally(p).entries == _per_pair_tally(p), p
+
+
+def test_oracle_runs_one_group_law_per_isomorphism_class(monkeypatch):
+    # F_p has 2p + 6, 2p + 2, 2p + 4 or 2p classes for p = 1, 5, 7, 11 mod 12
+    calls = []
+    real = curves._group_shape
+    monkeypatch.setattr(curves, "_group_shape", lambda *args: calls.append(1) or real(*args))
+    for p in (5, 7, 11, 13, 127):
+        calls.clear()
+        brute_force_tally(p)
+        assert len(calls) == 2 * p + {1: 6, 5: 2, 7: 4, 11: 0}[p % 12], p
 
 
 def test_oracle_matches_formula_small_primes():
