@@ -7,8 +7,9 @@ sequence; it refuses n >= FACTOR_BOUND = 2^64 before any trial division.
 Primes in arithmetic progressions come from a sieve of the progression by
 the base primes up to its square root; is_prime serves single numbers and
 is the sieve's test oracle.  The square divisors of each n are memoized
-(bounded), since every window sum asks for those of the same discriminants
-more than once.
+(bounded), since their callers, curves.order_decomposition and
+curves.inclusion_exclusion_check (once per window prime), ask for those of
+the same n more than once.
 """
 
 from __future__ import annotations

@@ -16,11 +16,14 @@ and json or csv is imported only for the format a request writes.
 
 The argparse parser is the only place input is checked and the only
 dispatch table: its type converters bound every number and path, and each
-subcommand names its cmd_* function.  Exit codes: 0 success (and --help),
-1 verification mismatch or disagreeing computation routes, 2 usage error.
-Every usage error, whether from the parser, an unwritable output path, a
-class-number scan above its cap, a prime sieve above its cap or an order
-at or above 2^64, is one `error: ...` line on stderr.
+subcommand names its cmd_* function.  The global flags --format, --cutoff,
+--out and --threads are declared once, on the top-level parser, so they go
+before the subcommand; after it they are unrecognized arguments.  Exit
+codes: 0 success (and --help), 1 verification mismatch or disagreeing
+computation routes, 2 usage error.  Every usage error, whether from the
+parser, an unwritable or empty output path, a class-number scan above its
+cap, a prime sieve above its cap or an order at or above 2^64, is one
+`error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -390,72 +393,57 @@ def _prime(text: str) -> int:
 
 
 def _out_path(path: str) -> str:
+    if not path:
+        raise argparse.ArgumentTypeError("empty path")
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise argparse.ArgumentTypeError(f"directory of {path} does not exist")
     return path
-
-
-def _common_flags(top_level: bool) -> argparse.ArgumentParser:
-    """Shared flags, accepted both before and after the subcommand.
-
-    The subcommand copy suppresses defaults so it never clobbers values
-    parsed at the top level.
-    """
-    miss = argparse.SUPPRESS
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--format", choices=["csv", "json"],
-                   default="csv" if top_level else miss)
-    p.add_argument("--cutoff", type=_int_in(100),
-                   default=localfactors.DEFAULT_CUTOFF if top_level else miss,
-                   help="Euler product truncation (default 100000)")
-    p.add_argument("--out", metavar="PATH", type=_out_path,
-                   default=None if top_level else miss)
-    p.add_argument("--threads", type=_int_in(1), default=1 if top_level else miss,
-                   help="accepted for compatibility; has no effect on the work or the output")
-    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="curvecensus",
         description="Exact weighted counts of elliptic curve groups over prime fields.",
-        parents=[_common_flags(True)],
     )
+    parser.add_argument("--format", choices=["csv", "json"], default="csv")
+    parser.add_argument("--cutoff", type=_int_in(100), default=localfactors.DEFAULT_CUTOFF,
+                        help="Euler product truncation (default 100000)")
+    parser.add_argument("--out", metavar="PATH", type=_out_path, default=None)
+    parser.add_argument("--threads", type=_int_in(1), default=1,
+                        help="accepted for compatibility; has no effect on the work or the output")
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _common_flags(False)
 
-    p = sub.add_parser("mg", parents=[common], help="weighted count for the group Z/m x Z/mk")
+    p = sub.add_parser("mg", help="weighted count for the group Z/m x Z/mk")
     p.add_argument("--m", type=_int_in(1), required=True)
     p.add_argument("--k", type=_int_in(1), required=True)
     p.add_argument("--per-prime", action="store_true")
     p.set_defaults(run=cmd_mg)
 
-    p = sub.add_parser("mn", parents=[common], help="weighted count for a fixed order")
+    p = sub.add_parser("mn", help="weighted count for a fixed order")
     p.add_argument("--n", type=_int_in(1), required=True)
     p.add_argument("--x", type=_int_in(1), default=None,
                    help="truncation point of the shape sum")
     p.set_defaults(run=cmd_mn)
 
-    p = sub.add_parser("grid", parents=[common], help="table of counts over a shape rectangle")
+    p = sub.add_parser("grid", help="table of counts over a shape rectangle")
     p.add_argument("--mmax", type=_int_in(1), required=True)
     p.add_argument("--kmax", type=_int_in(1), required=True)
     p.set_defaults(run=cmd_grid)
 
-    p = sub.add_parser("constants", parents=[common],
-                       help="local constants for a shape (and order)")
+    p = sub.add_parser("constants", help="local constants for a shape (and order)")
     p.add_argument("--m", type=_int_in(1), required=True)
     p.add_argument("--k", type=_int_in(1), required=True)
     p.add_argument("--n", type=_int_in(1), default=None)
     p.set_defaults(run=cmd_constants)
 
-    p = sub.add_parser("matrix", parents=[common], help="one matrix fiber count")
+    p = sub.add_parser("matrix", help="one matrix fiber count")
     p.add_argument("--n", type=_int_in(1), required=True, help="order target of det + 1 - tr")
     p.add_argument("--tor", type=_int_in(1), default=1, help="torsion level")
     p.add_argument("--l", dest="ell", type=_prime, required=True)
     p.add_argument("--e", type=_int_in(1), required=True)
     p.set_defaults(run=cmd_matrix)
 
-    p = sub.add_parser("verify", parents=[common], help="run a dual-route verification suite")
+    p = sub.add_parser("verify", help="run a dual-route verification suite")
     p.add_argument("suite", choices=_SUITES)
     p.add_argument("--pmax", type=_int_in(2, curves.ORACLE_PRIME_CAP), default=13)
     p.add_argument("--lmax", type=_int_in(2), default=3)

@@ -41,14 +41,13 @@ _TAIL_LOG_CONSTANT = 4.0
 
 
 class LocalFactorTable(NamedTuple):
-    """The primes of a truncated float product, its value and its tail bound.
+    """A truncated float Euler product and its tail bound.
 
-    The exact factor at a prime is group_factor or order_factor.
+    The product runs over the primes up to the cutoff and the primes of N
+    above it; the exact factor at a prime is group_factor or order_factor.
     """
 
-    primes: tuple[int, ...]
     truncated_value: float
-    cutoff: int
     tail_bound: float
 
 
@@ -92,13 +91,13 @@ def order_factor(n: int, ell: int) -> Fraction:
 
 
 @functools.lru_cache(maxsize=16)
-def _generic_floats(cutoff: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+def _generic_floats(cutoff: int) -> tuple[list[int], tuple[float, ...]]:
     """Primes up to cutoff and the float of l(l-2)/(l-1)^2 at each.
 
     int / int division is correctly rounded, and the fraction is in lowest
     terms, so each float equals that of the exact generic factor.
     """
-    primes = tuple(primes_up_to(cutoff))
+    primes = primes_up_to(cutoff)
     return primes, tuple(ell * (ell - 2) / (ell - 1) ** 2 for ell in primes)
 
 
@@ -106,26 +105,24 @@ def _assemble(factor_at, n: int, cutoff: int) -> LocalFactorTable:
     if cutoff < 100:
         raise ValueError(f"cutoff must be >= 100, got {cutoff}")
     primes, generic = _generic_floats(cutoff)
-    above: tuple[int, ...] = ()
     if n == 1:
         # N - 1 = 0, so each prime takes 1 - 1/((l-1)^2 (l+1)) = (D-1)/D,
         # under both the shape and order rules
         floats = [(d - 1) / d for d in ((ell - 1) ** 2 * (ell + 1) for ell in primes)]
     else:
         dividing = [ell for ell, _ in factorize(n).factors]
-        above = tuple(ell for ell in dividing if ell > cutoff)
-        special = dividing + [ell for ell, _ in factorize(n - 1).factors]
         floats = list(generic)
-        for ell in special:
+        for ell in dividing + [ell for ell, _ in factorize(n - 1).factors]:
             if ell <= cutoff:
                 f = factor_at(ell)
                 floats[bisect_left(primes, ell)] = f.numerator / f.denominator
-        for ell in above:
-            f = factor_at(ell)
-            floats.append(f.numerator / f.denominator)
+        for ell in dividing:  # ascending, so each prime above the cutoff comes last
+            if ell > cutoff:
+                f = factor_at(ell)
+                floats.append(f.numerator / f.denominator)
     value = math.prod(floats, start=1.0)  # left to right, one rounding per factor
     tail = abs(value) * (math.exp(_TAIL_LOG_CONSTANT / cutoff) - 1.0)
-    return LocalFactorTable(primes + above, value, cutoff, tail)
+    return LocalFactorTable(value, tail)
 
 
 def k_of_group(m: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> LocalFactorTable:

@@ -29,13 +29,13 @@ def criterion(num: int, desc: str):
     print(f"ACCEPTANCE {num} ({desc}): PASS")
 
 
-def test_criterion_1_oracle_equivalence():
+def test_criterion_1_oracle_equivalence(oracle_tallies):
     cap = curves.ORACLE_PRIME_CAP
     with criterion(1, f"curve oracle equals class-number formula, p <= {cap}"):
         t0 = time.time()
         compared = 0
         for p in primes_up_to(cap):
-            tally = curves.brute_force_tally(p)
+            tally = oracle_tallies[p]
             shapes = set(tally.entries) | set(curves.admissible_shapes(p))
             for s in sorted(shapes):
                 oracle = tally.entries.get(s, Fraction(0))

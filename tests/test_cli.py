@@ -25,7 +25,7 @@ def load_schema():
 
 
 def test_mg_summary(capsys):
-    code, out = run_cli(capsys, ["mg", "--m", "1", "--k", "1", "--cutoff", "1000"])
+    code, out = run_cli(capsys, ["--cutoff", "1000", "mg", "--m", "1", "--k", "1"])
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 1
@@ -35,7 +35,7 @@ def test_mg_summary(capsys):
 
 
 def test_mg_never_occurring_group(capsys):
-    code, out = run_cli(capsys, ["mg", "--m", "11", "--k", "1", "--cutoff", "1000"])
+    code, out = run_cli(capsys, ["--cutoff", "1000", "mg", "--m", "11", "--k", "1"])
     assert code == 0
     row = next(csv.DictReader(io.StringIO(out)))
     assert row["m_of_group"] == "0/1"
@@ -44,7 +44,7 @@ def test_mg_never_occurring_group(capsys):
 
 
 def test_mg_per_prime(capsys):
-    code, out = run_cli(capsys, ["mg", "--m", "2", "--k", "1", "--per-prime", "--cutoff", "1000"])
+    code, out = run_cli(capsys, ["--cutoff", "1000", "mg", "--m", "2", "--k", "1", "--per-prime"])
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["p", "term", "term_decimal"]
@@ -52,7 +52,7 @@ def test_mg_per_prime(capsys):
 
 
 def test_mn_table_and_summary(capsys):
-    code, out = run_cli(capsys, ["--format", "json", "mn", "--n", "4", "--x", "1", "--cutoff", "1000"])
+    code, out = run_cli(capsys, ["--format", "json", "--cutoff", "1000", "mn", "--n", "4", "--x", "1"])
     assert code == 0
     doc = json.loads(out)
     jsonschema.validate(doc, load_schema())
@@ -90,13 +90,13 @@ def test_stdout_bytes_are_pinned(capsys, args, digest):
 
 
 JSON_CONFIGS = [
-    (["--format", "json", "mg", "--m", "2", "--k", "1", "--cutoff", "1000"],
+    (["--format", "json", "--cutoff", "1000", "mg", "--m", "2", "--k", "1"],
      [("format", "json"), ("cutoff", 1000), ("threads", 1), ("m", 2), ("k", 1),
       ("per_prime", False)]),
-    (["grid", "--mmax", "1", "--kmax", "2", "--format", "json", "--cutoff", "1000",
-      "--threads", "2"],
+    (["--format", "json", "--cutoff", "1000", "--threads", "2", "grid", "--mmax", "1",
+      "--kmax", "2"],
      [("format", "json"), ("cutoff", 1000), ("threads", 2), ("mmax", 1), ("kmax", 2)]),
-    (["--format", "json", "constants", "--m", "1", "--k", "1", "--cutoff", "1000"],
+    (["--format", "json", "--cutoff", "1000", "constants", "--m", "1", "--k", "1"],
      [("format", "json"), ("cutoff", 1000), ("threads", 1), ("m", 1), ("k", 1)]),
     (["--format", "json", "matrix", "--n", "4", "--tor", "2", "--l", "2", "--e", "3"],
      [("format", "json"), ("cutoff", 100000), ("threads", 1), ("n", 4), ("tor", 2),
@@ -108,7 +108,7 @@ JSON_CONFIGS = [
 
 
 def test_json_config(capsys):
-    # keys in order; flags after the subcommand land in the same place
+    # keys in order: the global flags, which go before the subcommand, then its own
     for args, config in JSON_CONFIGS:
         code, out = run_cli(capsys, args)
         assert code == 0, args
@@ -118,7 +118,7 @@ def test_json_config(capsys):
 
 
 def test_grid(capsys):
-    code, out = run_cli(capsys, ["grid", "--mmax", "2", "--kmax", "3", "--cutoff", "1000"])
+    code, out = run_cli(capsys, ["--cutoff", "1000", "grid", "--mmax", "2", "--kmax", "3"])
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 6
@@ -132,7 +132,7 @@ def test_grid(capsys):
 
 
 def test_constants(capsys):
-    code, out = run_cli(capsys, ["constants", "--m", "1", "--k", "1", "--n", "4", "--cutoff", "1000"])
+    code, out = run_cli(capsys, ["--cutoff", "1000", "constants", "--m", "1", "--k", "1", "--n", "4"])
     assert code == 0
     rows = dict(r for r in csv.reader(io.StringIO(out)) if r[0] != "quantity")
     assert rows["two_adic_constant"] == "2/3"
@@ -245,7 +245,14 @@ USAGE_ERRORS = [
     ["--format", "xml", "mg", "--m", "1", "--k", "1"],
     ["verify", "bogus"],
     ["--threads", "0", "mg", "--m", "1", "--k", "1"],
+    # the global flags go before the subcommand; after it they are unrecognized
     ["mg", "--m", "1", "--k", "1", "--threads", "0"],
+    ["mg", "--m", "1", "--k", "1", "--format", "json"],
+    ["mg", "--m", "1", "--k", "1", "--cutoff", "1000"],
+    ["mg", "--m", "1", "--k", "1", "--out", "report.csv"],
+    ["mg", "--m", "1", "--k", "1", "--threads", "2"],
+    # an empty --out path would otherwise fall back to stdout
+    ["--out", "", "mg", "--m", "1", "--k", "1"],
     ["verify", "oracle", "--pmax", "128"],
     ["verify", "matrix", "--nmax", "0"],
     ["--cutoff", "10", "mg", "--m", "1", "--k", "1"],
@@ -283,7 +290,7 @@ def test_help_exits_0(capsys):
 
 def test_sieve_cap_is_a_usage_error(capsys):
     # a 10^15-byte prime sieve: refused before any allocation
-    for args in (["constants", "--m", "1", "--k", "1", "--cutoff", "1000000000000000"],
+    for args in (["--cutoff", "1000000000000000", "constants", "--m", "1", "--k", "1"],
                  ["verify", "constants", "--lmax", "1000000000000000"]):
         code = cli.main(args)
         out, err = capsys.readouterr()
@@ -391,7 +398,7 @@ def test_the_import_loads_only_what_the_command_uses():
 
 def test_out_file(capsys, tmp_path):
     path = tmp_path / "report.csv"
-    code, out = run_cli(capsys, ["--out", str(path), "mg", "--m", "1", "--k", "2", "--cutoff", "1000"])
+    code, out = run_cli(capsys, ["--out", str(path), "--cutoff", "1000", "mg", "--m", "1", "--k", "2"])
     assert code == 0
     assert out == ""
     assert path.read_text().startswith("m,k,n,m_of_group")
@@ -399,13 +406,13 @@ def test_out_file(capsys, tmp_path):
 
 def test_out_into_missing_directory(capsys, tmp_path):
     path = tmp_path / "missing" / "x.csv"
-    code = cli.main(["--out", str(path), "mg", "--m", "1", "--k", "2", "--cutoff", "1000"])
+    code = cli.main(["--out", str(path), "--cutoff", "1000", "mg", "--m", "1", "--k", "2"])
     err = capsys.readouterr().err
     assert code == cli.USAGE_ERROR
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not path.exists()
     # an existing directory that cannot be opened as a file fails at write time
-    code = cli.main(["--out", str(tmp_path), "mg", "--m", "1", "--k", "2", "--cutoff", "1000"])
+    code = cli.main(["--out", str(tmp_path), "--cutoff", "1000", "mg", "--m", "1", "--k", "2"])
     err = capsys.readouterr().err
     assert code == cli.USAGE_ERROR
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
@@ -414,7 +421,7 @@ def test_out_into_missing_directory(capsys, tmp_path):
 def test_mn_route_disagreement_exits_1(capsys, monkeypatch):
     real = curves.m_of_order_by_primes
     monkeypatch.setattr(curves, "m_of_order_by_primes", lambda n: real(n) + 1)
-    code = cli.main(["mn", "--n", "6", "--cutoff", "1000"])
+    code = cli.main(["--cutoff", "1000", "mn", "--n", "6"])
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
@@ -424,10 +431,11 @@ def test_mn_route_disagreement_exits_1(capsys, monkeypatch):
 
 def test_byte_determinism(capsys):
     for args in [
-        ["grid", "--mmax", "2", "--kmax", "10", "--cutoff", "1000"],
+        ["--cutoff", "1000", "grid", "--mmax", "2", "--kmax", "10"],
         ["--format", "json", "verify", "local"],
         ["--format", "json", "--threads", "2", "verify", "identity", "--nmax", "40"],
     ]:
-        _, first = run_cli(capsys, args)
-        _, second = run_cli(capsys, args)
+        code1, first = run_cli(capsys, args)
+        code2, second = run_cli(capsys, args)
+        assert code1 == code2 == 0 and first, args
         assert first == second, args

@@ -7,7 +7,6 @@ from curvecensus import curves, quadforms
 from curvecensus.arith import primes_up_to
 from curvecensus.curves import (
     GroupShape,
-    admissible_shapes,
     brute_force_tally,
     delta_statistic,
     eta_statistic,
@@ -218,9 +217,8 @@ def test_oracle_rejects_large_prime_and_composite():
         brute_force_tally(15)
 
 
-def test_oracle_tally_invariants():
-    for p in primes_up_to(curves.ORACLE_PRIME_CAP):
-        tally = brute_force_tally(p)
+def test_oracle_tally_invariants(oracle_tallies):
+    for p, tally in oracle_tallies.items():
         assert tally.total == sum(tally.entries.values(), Fraction(0))
         # every curve over F_p has mass contribution; total equals the
         # direct equation count divided by the transformation-group order
@@ -260,9 +258,9 @@ def _per_pair_tally(p):
     return {s: Fraction(c, p - 1) for s, c in counts.items()}
 
 
-def test_orbit_tally_equals_per_pair_scan():
+def test_orbit_tally_equals_per_pair_scan(oracle_tallies):
     for p in primes_up_to(31)[2:]:
-        assert brute_force_tally(p).entries == _per_pair_tally(p), p
+        assert oracle_tallies[p].entries == _per_pair_tally(p), p
 
 
 def test_oracle_runs_one_group_law_per_isomorphism_class(monkeypatch):
@@ -275,10 +273,3 @@ def test_oracle_runs_one_group_law_per_isomorphism_class(monkeypatch):
         brute_force_tally(p)
         assert len(calls) == 2 * p + {1: 6, 5: 2, 7: 4, 11: 0}[p % 12], p
 
-
-def test_oracle_matches_formula_small_primes():
-    for p in (2, 3, 5, 7, 11, 13):
-        tally = brute_force_tally(p)
-        shapes = set(tally.entries) | set(admissible_shapes(p))
-        for s in sorted(shapes):
-            assert tally.entries.get(s, Fraction(0)) == m_p_of_group(s.m, s.k, p), (p, s)
