@@ -6,7 +6,9 @@ uses trial division followed by Brent's cycle method with a fixed seed
 sequence; it refuses n >= FACTOR_BOUND = 2^64 before any trial division.
 Primes in arithmetic progressions come from a sieve of the progression by
 the base primes up to its square root; is_prime serves single numbers and
-is the sieve's test oracle.  The square divisors of each n are memoized
+is the sieve's test oracle.  sieving_primes holds those base primes, one
+sieve per bit length of the bound, for primes_in_ap and for the root-count
+sieve of quadforms.  The square divisors of each n are memoized
 (bounded), since their callers, curves.order_decomposition and
 curves.inclusion_exclusion_check (once per window prime), ask for those of
 the same n more than once.
@@ -242,6 +244,21 @@ def _primes_tuple(n: int) -> tuple[int, ...]:
     return (2, *itertools.compress(range(1, n + 1, 2), sieve))
 
 
+@functools.lru_cache(maxsize=None)
+def _primes_below_power_of_two(bits: int) -> tuple[int, ...]:
+    return _primes_tuple(1 << bits)
+
+
+def sieving_primes(bound: int) -> tuple[int, ...]:
+    """The primes up to 2^b, b = bound.bit_length(): every prime <= bound.
+
+    One sieve per bit length, memoized, so every bound of that length shares
+    it.  A bound of SIEVE_CAP or more raises ValueError, since its sieve
+    would pass SIEVE_CAP.
+    """
+    return _primes_below_power_of_two(bound.bit_length())
+
+
 def primes_up_to(n: int) -> list[int]:
     """Primes <= n by an odd-only sieve of Eratosthenes (memoized per n).
 
@@ -254,11 +271,12 @@ def primes_in_ap(lo: int, hi: int, m: int, a: int) -> list[int]:
     """Primes p with lo < p < hi and p == a (mod m), ascending.
 
     Bounds are strict on both sides; the empty list is a normal result.
-    Sieves the progression by the primes q <= B, one slice assignment per q
-    striking the multiples of q other than q itself, where B is sqrt(hi - 1)
-    or the number of terms, whichever is less.  A survivor below (B + 1)^2
-    is prime; one above it, left only in a progression with fewer terms than
-    sqrt(hi - 1), is confirmed by is_prime.
+    Sieves the progression by the primes q <= B, taken from
+    sieving_primes(B), one slice assignment per q striking the multiples of
+    q other than q itself, where B is sqrt(hi - 1) or the number of terms,
+    whichever is less.  A survivor below (B + 1)^2 is prime; one above it,
+    left only in a progression with fewer terms than sqrt(hi - 1), is
+    confirmed by is_prime.
     """
     if m < 1:
         raise ValueError(f"primes_in_ap: modulus must be >= 1, got {m}")
@@ -276,7 +294,9 @@ def primes_in_ap(lo: int, hi: int, m: int, a: int) -> list[int]:
         return []
     bound = min(math.isqrt(hi - 1), count)
     alive = bytearray([1]) * count
-    for q in _primes_tuple(bound):
+    for q in sieving_primes(bound):
+        if q > bound:
+            break
         if m % q == 0:
             continue  # no term is a multiple of q, since gcd(a, m) = 1
         i = -start * pow(m, -1, q) % q  # first term divisible by q
@@ -284,5 +304,5 @@ def primes_in_ap(lo: int, hi: int, m: int, a: int) -> list[int]:
             i += q
         alive[i::q] = bytes(len(range(i, count, q)))
     sure = (bound + 1) ** 2
-    return [p for p in (start + i * m for i in range(count) if alive[i])
+    return [p for p in itertools.compress(range(start, hi, m), alive)
             if p < sure or is_prime(p)]

@@ -6,6 +6,10 @@ window (p - 1 - N)^2 < 4N; there the weighted count of classes with group
 (m, k) is the restricted weighted class number H_k(d(p)) of the trace
 discriminant d(p) = ((p-1)/m - mk)^2 - 4k, and the count by order alone is
 H((p-1-N)^2 - 4N).  Weighted means each isomorphism class counts 1/#Aut.
+The window integers are exactly those with |p - 1 - N| <= isqrt(4N - 1), so
+the primes 1 mod m among them come from one sieve of that range, memoized
+per (N, m) for the other callers of the same order; window sums add the
+integers 12 H_k(d) and divide by 12 once.
 
 brute_force_tally is the independent oracle: it enumerates Weierstrass
 equations over F_p, counts points directly, reads off the group shape from
@@ -20,6 +24,7 @@ ConsistencyError.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -97,36 +102,43 @@ def m_of_group(m: int, k: int) -> Fraction:
     n = m * m * k
     _window_range(n, m)
     require_scannable(k)
-    twelfths = sum(class_number_twelfths(trace_discriminant(m, k, p), k)
+    # every window prime is 1 mod m, so d(p) needs no checks here
+    twelfths = sum(class_number_twelfths(((p - 1) // m - m * k) ** 2 - 4 * k, k)
                    for p in window_primes_in_class(n, m))
     return Fraction(twelfths, 12)
 
 
 def _window_range(n: int, m: int) -> tuple[int, int]:
-    """Strict bounds (lo, hi) around the window integers of n.
+    """Strict bounds (lo, hi) around exactly the window integers of n.
 
-    A scan with more candidates than the whole window of ORDER_BOUND raises
-    OverflowError; a window whose largest integer n + 1 + isqrt(4n - 1)
-    reaches arith.FACTOR_BOUND = 2^64 raises ValueError.
+    The window integers p are those with |p - 1 - n| <= r = isqrt(4n - 1),
+    so lo = n - r and hi = n + 2 + r.  A scan with more candidates than the
+    whole window of ORDER_BOUND raises OverflowError; a window whose largest
+    integer n + 1 + r reaches arith.FACTOR_BOUND = 2^64 raises ValueError.
     """
-    lo = n - 2 * math.isqrt(n) - 1  # strictly below every window integer
-    hi = n + 2 + 2 * math.isqrt(n) + 1
-    if (hi - lo) // m > _MAX_WINDOW_SCAN:
+    if (4 * math.isqrt(n) + 4) // m > _MAX_WINDOW_SCAN:
         raise OverflowError(f"window scan of N = {n} for primes 1 mod {m} "
                             f"exceeds {_MAX_WINDOW_SCAN} candidates")
-    if n + 1 + math.isqrt(4 * n - 1) >= FACTOR_BOUND:
+    r = math.isqrt(4 * n - 1)
+    if n + 1 + r >= FACTOR_BOUND:
         raise ValueError(f"the Hasse window of N = {n} reaches 2^64")
-    return lo, hi
+    return n - r, n + 2 + r
 
 
 def window_primes_in_class(n: int, m: int) -> list[int]:
     """Window primes of n that are 1 mod m, ascending; m = 1 gives them all.
 
-    A scan with more candidates than the whole window of ORDER_BOUND raises
-    OverflowError before any candidate is tested.
+    A fresh list each call.  A scan with more candidates than the whole
+    window of ORDER_BOUND raises OverflowError before any candidate is tested.
     """
+    return list(_window_primes(n, m))
+
+
+@functools.lru_cache(maxsize=32)
+def _window_primes(n: int, m: int) -> tuple[int, ...]:
+    # the callers of one order ask for the same few windows: one sieve each
     lo, hi = _window_range(n, m)
-    return [p for p in primes_in_ap(lo, hi, m, 1) if in_hasse_window(n, p)]
+    return tuple(primes_in_ap(lo, hi, m, 1))
 
 
 def m_p_of_order(n: int, nt: int, p: int) -> Fraction:
@@ -150,10 +162,15 @@ def m_of_order_by_primes(n: int) -> Fraction:
     return Fraction(twelfths, 12)
 
 
+def _sum_twelfths(counts) -> Fraction:
+    """Sum of weighted counts, each a multiple of 1/12, added as integer twelfths."""
+    return Fraction(sum(c.numerator * (12 // c.denominator) for c in counts), 12)
+
+
 def m_of_order_routes(n: int) -> tuple[Fraction, Fraction]:
     """M(n) two ways: summed over window primes, and over group shapes."""
     by_primes = m_of_order_by_primes(n)
-    return by_primes, sum((m_of_group(m, k) for m, k in order_decomposition(n)), Fraction(0))
+    return by_primes, _sum_twelfths(m_of_group(m, k) for m, k in order_decomposition(n))
 
 
 def order_decomposition(n: int) -> list[tuple[int, int]]:
@@ -169,7 +186,7 @@ def m_of_order_terms(n: int) -> tuple[Fraction, list[tuple[int, int, Fraction]]]
     """
     by_primes = m_of_order_by_primes(n)
     terms = [(m, k, m_of_group(m, k)) for m, k in order_decomposition(n)]
-    by_shapes = sum((t for _, _, t in terms), Fraction(0))
+    by_shapes = _sum_twelfths(t for _, _, t in terms)
     if by_primes != by_shapes:
         raise ConsistencyError(
             f"M({n}) routes disagree: {by_primes} by primes, {by_shapes} by shapes"

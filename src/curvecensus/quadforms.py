@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .arith import factorize, kronecker, primes_up_to
+from .arith import factorize, kronecker, sieving_primes
 
 
 class LSeriesValue(NamedTuple):
@@ -83,12 +83,6 @@ def _root_count(d: int, ell: int, j: int) -> int:
     return count
 
 
-@functools.lru_cache(maxsize=None)
-def _primes_below_power_of_two(bits: int) -> tuple[int, ...]:
-    # one sieve per bit length, so each bound top < 2^bits shares it
-    return tuple(primes_up_to(1 << bits))
-
-
 def _root_counts(d: int, top: int) -> list[int]:
     """g[a] = N_d(4a)/2 for 0 <= a <= top, and g[0] = 0.
 
@@ -98,7 +92,7 @@ def _root_counts(d: int, top: int) -> list[int]:
     """
     g = [1] * (top + 1)
     g[0] = 0
-    for ell in _primes_below_power_of_two(top.bit_length()):
+    for ell in sieving_primes(top):
         if ell > top:
             break
         r = d % ell
@@ -169,12 +163,19 @@ def _twelfths(d: int) -> int:
     return hit
 
 
+@functools.lru_cache(maxsize=128)
+def _prime_divisors(r: int) -> tuple[int, ...]:
+    # r = gcd(k, d) divides k, so a window sum at one k meets few values of r
+    return tuple(p for p, _ in factorize(r).factors)
+
+
 def class_number_twelfths(d: int, k: int) -> int:
     """12 H_k(d), an integer: each w(d/f^2) in {2, 4, 6} divides 12.
 
     By Moebius inversion over the levels, 12 H_k(d) is the sum of
     mu(g) 12 H(d/g^2) over the squarefree g | k with d/g^2 a discriminant,
-    so k = 1 is one memo lookup.  Window sums add these and divide by 12
+    so k = 1 is one memo lookup; the g come from the primes of gcd(k, d),
+    which a small memo keeps.  Window sums add these and divide by 12
     once, instead of adding Fractions.  |d| at or above CLASS_SCAN_CAP
     raises ValueError before any count.
     """
@@ -183,12 +184,14 @@ def class_number_twelfths(d: int, k: int) -> int:
         raise ValueError(f"restriction parameter must be >= 1, got {k}")
     if -d >= CLASS_SCAN_CAP:
         raise ValueError(f"class-number scan of |d| = {-d} reaches the cap {CLASS_SCAN_CAP}")
-    total = _twelfths(d)
+    total = _cache.get(d)
+    if total is None:
+        total = _twelfths(d)
     r = math.gcd(k, d)
     if r > 1:
         # mu(g) g for each squarefree g | k with g^2 | d
         signed = [1]
-        for p, _ in factorize(r).factors:
+        for p in _prime_divisors(r):
             if d % (p * p) == 0:
                 signed += [-p * g for g in signed]
         for g in signed[1:]:

@@ -183,6 +183,16 @@ def test_primes_up_to_refuses_a_sieve_above_the_cap():
         arith.primes_up_to(arith.SIEVE_CAP + 1)
 
 
+def test_sieving_primes_cover_the_bound():
+    for bound in range(300):
+        primes = arith.sieving_primes(bound)
+        assert list(primes) == arith.primes_up_to(1 << bound.bit_length()), bound
+    # one sieve per bit length
+    assert arith.sieving_primes(65) is arith.sieving_primes(127)
+    with pytest.raises(ValueError, match="exceeds"):
+        arith.sieving_primes(arith.SIEVE_CAP)
+
+
 def test_primes_in_ap_examples():
     assert arith.primes_in_ap(0, 4, 1, 0) == [2, 3]
     assert arith.primes_in_ap(1, 9, 2, 1) == [3, 5, 7]

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from curvecensus import curves, quadforms
-from curvecensus.arith import primes_up_to
+from curvecensus.arith import primes_in_ap, primes_up_to
 from curvecensus.curves import (
     GroupShape,
     brute_force_tally,
     delta_statistic,
     eta_statistic,
+    in_hasse_window,
     inclusion_exclusion_check,
     m_of_group,
     m_of_order,
@@ -25,6 +26,9 @@ def test_hasse_window_examples():
     assert window_primes_in_class(1, 1) == [2, 3]
     assert window_primes_in_class(4, 1) == [2, 3, 5, 7]
     assert window_primes_in_class(121, 1) == [101, 103, 107, 109, 113, 127, 131, 137, 139]
+    # memoized per (n, m), but every call returns a list of its own
+    window_primes_in_class(121, 1).append(0)
+    assert window_primes_in_class(121, 1) == [101, 103, 107, 109, 113, 127, 131, 137, 139]
 
 
 def test_hasse_window_membership_is_strict():
@@ -37,6 +41,20 @@ def test_hasse_window_membership_is_strict():
         for p in range(2, n + 2 * math.isqrt(n) + 4):
             if (p - 1 - n) ** 2 < 4 * n and curves.is_prime(p):
                 assert p in primes, (n, p)
+
+
+def _window_primes_by_filter(n, m):
+    # a sieve over a range that covers the window with room to spare, then a window test per prime
+    lo, hi = n - 2 * math.isqrt(n) - 1, n + 3 + 2 * math.isqrt(n)
+    return [p for p in primes_in_ap(lo, hi, m, 1) if in_hasse_window(n, p)]
+
+
+def test_window_bounds_hold_exactly_the_window():
+    # at n = j^2 the integers with |p - 1 - n| = 2j sit just outside the window
+    squares = {j * j + e for j in range(1, 201) for e in (-1, 0, 1)}
+    for n in sorted(set(range(1, 3001)) | squares - {0}):
+        for m in range(1, 13):
+            assert window_primes_in_class(n, m) == _window_primes_by_filter(n, m), (n, m)
 
 
 def test_trace_discriminant_examples():
@@ -157,6 +175,13 @@ def test_m_of_order_routes_agree_small():
     for n in range(1, 301):
         a, b = m_of_order_routes(n)
         assert a == b, n
+
+
+def test_m_of_order_routes_match_the_fraction_sum():
+    # both integer-twelfths routes against a sum of per-prime Fractions
+    for n in range(1, 401):
+        want = sum((m_p_of_order(n, 1, p) for p in _window_primes_by_filter(n, 1)), Fraction(0))
+        assert m_of_order_routes(n) == (want, want), n
 
 
 def test_inclusion_exclusion_examples():

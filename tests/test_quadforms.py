@@ -174,6 +174,15 @@ def test_twelfths_match_the_weighted_walk():
             assert twelfths == 12 * kronecker_class_number_weighted(d, k), (d, k)
 
 
+def test_twelfths_with_many_primes_in_the_restriction():
+    # gcd(k, d) with up to four primes, each k met at many d, so its primes repeat
+    for d in range(-3, -501, -1):
+        if d % 4 not in (0, 1):
+            continue
+        for k in (30, 60, 210, 420, 864):
+            assert class_number_twelfths(d, k) == 12 * kronecker_class_number_weighted(d, k), (d, k)
+
+
 def test_twelfths_reject_bad_input():
     with pytest.raises(ValueError):
         class_number_twelfths(-5, 1)
