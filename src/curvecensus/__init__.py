@@ -19,6 +19,7 @@ from .arith import (
     valuation,
 )
 from .curves import (
+    ConsistencyError,
     CurveTally,
     GroupShape,
     brute_force_tally,
@@ -31,7 +32,6 @@ from .curves import (
     m_p_of_order,
     trace_discriminant,
 )
-from .errors import ConsistencyError
 from .localfactors import (
     LocalFactorTable,
     aut_order,

@@ -8,10 +8,11 @@ Primes in arithmetic progressions come from a sieve of the progression by
 the base primes up to its square root; is_prime serves single numbers and
 is the sieve's test oracle.  sieving_primes holds those base primes, one
 sieve per bit length of the bound, for primes_in_ap and for the root-count
-sieve of quadforms.  The square divisors of each n are memoized
-(bounded), since their callers, curves.order_decomposition and
-curves.inclusion_exclusion_check (once per window prime), ask for those of
-the same n more than once.
+sieve of quadforms; primes_up_to sieves afresh on each call, as each of
+its callers asks once per request or keeps its own memo.  The square
+divisors of each n are memoized (bounded), since their callers,
+curves.order_decomposition and curves.inclusion_exclusion_check (once per
+window prime), ask for those of the same n more than once.
 """
 
 from __future__ import annotations
@@ -116,8 +117,6 @@ class Factorization(namedtuple("Factorization", "value factors")):
 
 def _brent_rho(n: int) -> int:
     """Find a nontrivial factor of composite odd n, deterministic seeds."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -141,7 +140,9 @@ def _brent_rho(n: int) -> int:
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
-    raise ArithmeticError(f"rho failed to factor {n}")  # unreachable for n < 2**63
+    # no test meets this: the semiprimes they factor, up to 4294967291^2 just
+    # below 2^64, all split at the first seed c = 1
+    raise ArithmeticError(f"rho failed to factor {n}")
 
 
 def factorize(n: int) -> Factorization:
@@ -225,10 +226,13 @@ def square_divisors(n: int) -> list[int]:
     return list(_square_divisors(n))
 
 
-@functools.lru_cache(maxsize=16)
-def _primes_tuple(n: int) -> tuple[int, ...]:
+def primes_up_to(n: int) -> list[int]:
+    """Primes <= n by an odd-only sieve of Eratosthenes, a fresh list each call.
+
+    A bound above SIEVE_CAP raises ValueError before anything is allocated.
+    """
     if n < 2:
-        return ()
+        return []
     if n > SIEVE_CAP:
         raise ValueError(f"prime sieve up to {n} exceeds {SIEVE_CAP}")
     # odd numbers only: sieve[i] stands for 2i + 1; the odd multiples of p from
@@ -241,12 +245,12 @@ def _primes_tuple(n: int) -> tuple[int, ...]:
             p = 2 * i + 1
             start = p * p // 2
             sieve[start::p] = bytes(len(range(start, size, p)))
-    return (2, *itertools.compress(range(1, n + 1, 2), sieve))
+    return [2, *itertools.compress(range(1, n + 1, 2), sieve)]
 
 
 @functools.lru_cache(maxsize=None)
 def _primes_below_power_of_two(bits: int) -> tuple[int, ...]:
-    return _primes_tuple(1 << bits)
+    return tuple(primes_up_to(1 << bits))
 
 
 def sieving_primes(bound: int) -> tuple[int, ...]:
@@ -257,14 +261,6 @@ def sieving_primes(bound: int) -> tuple[int, ...]:
     would pass SIEVE_CAP.
     """
     return _primes_below_power_of_two(bound.bit_length())
-
-
-def primes_up_to(n: int) -> list[int]:
-    """Primes <= n by an odd-only sieve of Eratosthenes (memoized per n).
-
-    A bound above SIEVE_CAP raises ValueError before anything is allocated.
-    """
-    return list(_primes_tuple(n))
 
 
 def primes_in_ap(lo: int, hi: int, m: int, a: int) -> list[int]:

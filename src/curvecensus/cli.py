@@ -12,7 +12,8 @@ changes neither the work nor the output.  Class numbers are counted per
 discriminant on first use and memoized in memory for the run; nothing is
 cached on disk, and no command loads a module outside the standard library.
 The import loads only what a command uses: the records are named tuples,
-and json or csv is imported only for the format a request writes.
+json is imported only for JSON output, and a CSV row is its cells joined
+by commas, since no cell holds a comma, quote or line break.
 
 The argparse parser is the only place input is checked and the only
 dispatch table: its type converters bound every number and path, and each
@@ -29,7 +30,6 @@ cap, a prime sieve above its cap or an order at or above 2^64, is one
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import os
 import sys
@@ -37,7 +37,6 @@ from fractions import Fraction
 
 from . import curves, localfactors, matrixcounts, quadforms
 from .arith import is_prime, primes_up_to, valuation
-from .errors import ConsistencyError
 
 USAGE_ERROR = 2
 
@@ -73,14 +72,7 @@ def _emit(args, columns: list[str], rows: list[list],
             doc["mismatches"] = mismatches
         text = json.dumps(doc, indent=2) + "\n"
     else:
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(row)
-        text = buf.getvalue()
+        text = "".join(",".join(map(str, row)) + "\n" for row in [columns, *rows])
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -464,7 +456,7 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
-    except ConsistencyError as exc:
+    except curves.ConsistencyError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

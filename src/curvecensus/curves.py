@@ -19,25 +19,35 @@ quintuples for p in {2, 3}).  For p > 3 the pairs isomorphic to (a, b) are
 its orbit (u^4 a, u^6 b), u in F_p*: the oracle counts the points of one
 pair per orbit and weights that group by the orbit's size over p - 1.
 Either way the weights add up to p, and a scan whose mass is not p raises
-ConsistencyError.
+ConsistencyError, which this module defines for every check of one route
+against another.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import (FACTOR_BOUND, euler_phi, factorize, is_prime, mobius, primes_in_ap,
                     square_divisors)
-from .errors import ConsistencyError
 from .quadforms import CLASS_SCAN_CAP, class_number_twelfths
 
 ORDER_BOUND = 2**40
 # candidates in the whole Hasse window of ORDER_BOUND, the widest scan allowed
 _MAX_WINDOW_SCAN = 4 * math.isqrt(ORDER_BOUND) + 4
 ORACLE_PRIME_CAP = 127
+
+
+class ConsistencyError(ArithmeticError):
+    """Two independent computation routes that must agree exactly did not.
+
+    Raised when the M(n) routes, the oracle's exponent or the oracle's mass
+    check fail; this always signals an implementation bug, never bad user
+    input.
+    """
 
 
 class GroupShape(NamedTuple):
@@ -328,13 +338,7 @@ def _tally_large(p: int) -> CurveTally:
                     points.append((x, y))
             shape = _group_shape(points, len(points) + 1, add)
             counts[shape] = counts.get(shape, 0) + len(orbit)
-
-    weight = Fraction(1, p - 1)
-    entries = {s: c * weight for s, c in sorted(counts.items())}
-    total = sum(entries.values(), Fraction(0))
-    if total != p:
-        raise ConsistencyError(f"oracle mass {total} != {p} ({singular} singular pairs)")
-    return CurveTally(p, entries, total)
+    return _tally(p, counts, p - 1, f"{singular} singular pairs")
 
 
 def _tally_small(p: int) -> CurveTally:
@@ -366,43 +370,37 @@ def _tally_small(p: int) -> CurveTally:
 
     counts: dict[GroupShape, int] = {}
     nonsingular = 0
-    for a1 in range(p):
-        for a2 in range(p):
-            for a3 in range(p):
-                for a4 in range(p):
-                    for a6 in range(p):
-                        b2 = a1 * a1 + 4 * a2
-                        b4 = 2 * a4 + a1 * a3
-                        b6 = a3 * a3 + 4 * a6
-                        b8 = (
-                            a1 * a1 * a6
-                            + 4 * a2 * a6
-                            - a1 * a3 * a4
-                            + a2 * a3 * a3
-                            - a4 * a4
-                        )
-                        disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-                        if disc % p == 0:
-                            continue
-                        nonsingular += 1
-                        points = [
-                            (x, y)
-                            for x in range(p)
-                            for y in range(p)
-                            if (y * y + a1 * x * y + a3 * y
-                                - (x**3 + a2 * x * x + a4 * x + a6)) % p == 0
-                        ]
-                        add = add_for(a1, a2, a3, a4, a6)
-                        shape = _group_shape(points, len(points) + 1, add)
-                        counts[shape] = counts.get(shape, 0) + 1
+    for a1, a2, a3, a4, a6 in itertools.product(range(p), repeat=5):
+        b2 = a1 * a1 + 4 * a2
+        b4 = 2 * a4 + a1 * a3
+        b6 = a3 * a3 + 4 * a6
+        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+        disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        if disc % p == 0:
+            continue
+        nonsingular += 1
+        points = [
+            (x, y)
+            for x in range(p)
+            for y in range(p)
+            if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % p == 0
+        ]
+        shape = _group_shape(points, len(points) + 1, add_for(a1, a2, a3, a4, a6))
+        counts[shape] = counts.get(shape, 0) + 1
+    return _tally(p, counts, (p - 1) * p**3, f"{nonsingular} nonsingular quintuples")
 
-    weight = Fraction(1, (p - 1) * p**3)
-    entries = {s: c * weight for s, c in sorted(counts.items())}
-    total = sum(entries.values(), Fraction(0))
+
+def _tally(p: int, counts: dict[GroupShape, int], scans_per_class: int,
+           scanned: str) -> CurveTally:
+    """Weights count / scans_per_class per shape, sorted, whose mass must be p.
+
+    scans_per_class is the number of scanned equations a class of weight 1
+    stands for; scanned says what the scan met, for the ConsistencyError.
+    """
+    entries = {s: Fraction(c, scans_per_class) for s, c in sorted(counts.items())}
+    total = Fraction(sum(counts.values()), scans_per_class)
     if total != p:
-        raise ConsistencyError(
-            f"oracle mass {total} != {p} ({nonsingular} nonsingular quintuples)"
-        )
+        raise ConsistencyError(f"oracle mass {total} != {p} ({scanned})")
     return CurveTally(p, entries, total)
 
 

@@ -74,9 +74,6 @@ def count_c_brute(q: MatrixCountQuery) -> int:
     """Fiber count by full enumeration: one entry of the memoized fiber scan."""
     mod = q.ell**q.e
     u = valuation(q.ell, q.n_torsion)
-    if u >= q.e:
-        # sigma = I is the only candidate; det + 1 - tr = 0 there
-        return 1 if q.n_order % mod == 0 else 0
     fibers = count_c_fibers(q.ell, q.e, u)  # raises past either budget
     t = q.n_order % mod
     g = q.ell ** min(2 * u, q.e)
@@ -93,16 +90,17 @@ def count_c_fibers(ell: int, e: int, u: int) -> tuple[int, ...]:
     bc mod l^e over the off-diagonal give every fiber with det a unit.  As
     x, y, b, c are multiples of l^u, only residues t divisible by
     g = l^min(2u, e) can be hit, so the tuple holds l^e / g entries, the
-    fiber of t at t // g (every fiber at u = 0).  Memoized per (l, e, u).
+    fiber of t at t // g (every fiber at u = 0).  At u >= e, sigma = I is the
+    only candidate and det + 1 - tr = 0 there, so the tuple is (1,) whatever
+    the modulus.  Memoized per (l, e, u).
     """
+    if u >= e:
+        return (1,)
     mod = ell**e
     if mod > BRUTE_BUDGET:
         raise ValueError(f"fiber array too long: {ell}^{e} > {BRUTE_BUDGET}")
     g = ell ** min(2 * u, e)
     out = [0] * (mod // g)
-    if u >= e:
-        out[0] = 1
-        return tuple(out)
     step = ell**u
     size = mod // step
     if size**4 > BRUTE_BUDGET:

@@ -120,6 +120,12 @@ def test_factorize_reaches_rho():
     assert f.factors == ((1000003, 1), (1000033, 1))
     big = (2**31 - 1) * (2**31 - 19)  # 2^31-19 = 3 * 5 * 23 * 6222437
     assert math.prod(p**e for p, e in arith.factorize(big).factors) == big
+    # semiprimes up to just below FACTOR_BOUND = 2^64, one of them a square
+    for p, q in ((4294967291, 4294967279), (4294967291, 4294967291),
+                 (3037000493, 3037000453)):
+        f = arith.factorize(p * q)
+        assert f.factors == (((p, 2),) if p == q else ((q, 1), (p, 1))), (p, q)
+    assert 4294967291**2 < arith.FACTOR_BOUND
 
 
 def test_multiplicative_functions():

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 from fractions import Fraction
 
@@ -252,6 +253,19 @@ def test_oracle_tally_invariants(oracle_tallies):
             assert v > 0
             assert (p - 1) % m == 0
             assert (p - 1 - m * m * k) ** 2 < 4 * m * m * k
+
+
+def test_oracle_mass_check_names_the_mass_and_the_prime():
+    with pytest.raises(curves.ConsistencyError, match=r"oracle mass 3/4 != 5 \(3 pairs\)"):
+        curves._tally(5, {GroupShape(1, 5): 3}, 4, "3 pairs")
+
+
+def test_consistency_error_lives_in_curves():
+    import curvecensus
+
+    assert curvecensus.ConsistencyError is curves.ConsistencyError
+    assert issubclass(curves.ConsistencyError, ArithmeticError)
+    assert importlib.util.find_spec("curvecensus.errors") is None
 
 
 def _per_pair_tally(p):

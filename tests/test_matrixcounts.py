@@ -116,6 +116,16 @@ def test_counts_agree_on_grid():
     assert mc.count_c_fibers.cache_info().misses == len(grids)
 
 
+def test_level_at_or_past_the_modulus_needs_no_scan():
+    # at u >= e only sigma = I qualifies, however far 2^30 is past the scan budget
+    assert 2**30 > mc.BRUTE_BUDGET
+    assert mc.count_c_fibers(2, 30, 30) == (1,)
+    assert mc.count_c_brute(Q(2**30, 2**30, 2, 30)) == 1
+    assert mc.count_c_brute(Q(4, 2**30, 2, 30)) == 0
+    with pytest.raises(ValueError):  # a level below e still scans, and 2^27 is too long
+        mc.count_c_fibers(2, 27, 0)
+
+
 def test_identity_congruence_levels():
     # u beyond v/2 gives the empty count; u within range matches the scan
     assert mc.count_c_brute(Q(8, 2, 2, 4)) == mc.count_c_closed(Q(8, 2, 2, 4))
