@@ -9,10 +9,9 @@ the base primes up to its square root; is_prime serves single numbers and
 is the sieve's test oracle.  sieving_primes holds those base primes, one
 sieve per bit length of the bound, for primes_in_ap and for the root-count
 sieve of quadforms; primes_up_to sieves afresh on each call, as each of
-its callers asks once per request or keeps its own memo.  The square
-divisors of each n are memoized (bounded), since their callers,
-curves.order_decomposition and curves.inclusion_exclusion_check (once per
-window prime), ask for those of the same n more than once.
+its callers asks once per request or keeps its own memo.  square_divisors
+keeps no memo either: factorizing an order of the size the commands use
+takes microseconds.
 """
 
 from __future__ import annotations
@@ -213,17 +212,12 @@ def valuation(ell: int, n: int) -> int:
     return v
 
 
-@functools.lru_cache(maxsize=4096)
-def _square_divisors(n: int) -> tuple[int, ...]:
+def square_divisors(n: int) -> list[int]:
+    """All f >= 1 with f**2 | n, ascending."""
     out = [1]
     for p, e in factorize(n).factors:
         out = [d * p**j for d in out for j in range(e // 2 + 1)]
-    return tuple(sorted(out))
-
-
-def square_divisors(n: int) -> list[int]:
-    """All f >= 1 with f**2 | n, ascending (a fresh list; memoized per n)."""
-    return list(_square_divisors(n))
+    return sorted(out)
 
 
 def primes_up_to(n: int) -> list[int]:

@@ -22,9 +22,9 @@ subcommand names its cmd_* function.  The global flags --format, --cutoff,
 before the subcommand; after it they are unrecognized arguments.  Exit
 codes: 0 success (and --help), 1 verification mismatch or disagreeing
 computation routes, 2 usage error.  Every usage error, whether from the
-parser, an unwritable or empty output path, a class-number scan above its
-cap, a prime sieve above its cap or an order at or above 2^64, is one
-`error: ...` line on stderr.
+parser, an unwritable or empty output path, a closed stdout, a
+class-number scan above its cap, a prime sieve above its cap or an order at
+or above 2^64, is one `error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -79,8 +79,15 @@ def _emit(args, columns: list[str], rows: list[list],
                 fh.write(text)
         except OSError as exc:  # reported as a usage error, like a bad argument
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
+    elif sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise ValueError("cannot write stdout: Bad file descriptor")
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed stdout; what is still buffered goes to devnull at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ValueError(f"cannot write stdout: {exc.strerror}") from exc
 
 
 # --- subcommands ------------------------------------------------------------

@@ -18,9 +18,12 @@ the exponent, and applies the mass formula (each class corresponds to
 quintuples for p in {2, 3}).  For p > 3 the pairs isomorphic to (a, b) are
 its orbit (u^4 a, u^6 b), u in F_p*: the oracle counts the points of one
 pair per orbit and weights that group by the orbit's size over p - 1.
-Either way the weights add up to p, and a scan whose mass is not p raises
-ConsistencyError, which this module defines for every check of one route
-against another.
+Both scans add points by one chord-and-tangent law for the long form
+y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6, the short form being
+a1 = a2 = a3 = 0, and divide through a table of inverses mod p built once
+per prime.  Either way the weights add up to p, and a scan whose mass is
+not p raises ConsistencyError, which this module defines for every check of
+one route against another.
 """
 
 from __future__ import annotations
@@ -243,6 +246,31 @@ def eta_statistic(n: int) -> float:
 # --- brute-force oracle ----------------------------------------------------
 
 
+def _add(a1: int, a2: int, a3: int, a4: int, p: int, inv: list[int], pt1, pt2):
+    """Chord-and-tangent sum on y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over F_p.
+
+    None is the point at infinity and inv[v] is 1/v mod p; the scans bind the
+    curve with functools.partial.  The law needs no a6, since
+    y3 = lambda (x1 - x3) - y1 - a1 x3 - a3 (Silverman, AEC III.2.3).
+    """
+    if pt1 is None:
+        return pt2
+    if pt2 is None:
+        return pt1
+    x1, y1 = pt1
+    x2, y2 = pt2
+    if x1 == x2:
+        # Q is P or -P = (x1, -y1 - a1 x1 - a3)
+        s = a1 * x1 + a3
+        if (y1 + y2 + s) % p == 0:
+            return None
+        lam = ((3 * x1 + 2 * a2) * x1 + a4 - a1 * y1) * inv[(2 * y1 + s) % p] % p
+    else:
+        lam = (y2 - y1) * inv[(x2 - x1) % p] % p
+    x3 = (lam * (lam + a1) - a2 - x1 - x2) % p
+    return (x3, (lam * (x1 - x3) - y1 - a1 * x3 - a3) % p)
+
+
 def _group_shape(points: list[tuple[int, int]], n: int, add) -> GroupShape:
     """Shape (m, k) from the exponent, via orders of the affine points.
 
@@ -253,12 +281,13 @@ def _group_shape(points: list[tuple[int, int]], n: int, add) -> GroupShape:
 
     def mult(t: int, pt):
         acc = None
-        while t:
+        while True:
             if t & 1:
                 acc = add(acc, pt)
-            pt = add(pt, pt)
             t >>= 1
-        return acc
+            if not t:
+                return acc
+            pt = add(pt, pt)
 
     def order(pt) -> int:
         o = n
@@ -282,7 +311,7 @@ def _group_shape(points: list[tuple[int, int]], n: int, add) -> GroupShape:
     return GroupShape(m, lam // m)
 
 
-def _tally_large(p: int) -> CurveTally:
+def _tally_large(p: int, inv: list[int]) -> CurveTally:
     """Short Weierstrass scan for p > 3: y^2 = x^3 + ax + b, weight 1/(p-1).
 
     The first pair of each orbit {(u^4 a, u^6 b) : u in F_p*} met in the scan
@@ -292,36 +321,13 @@ def _tally_large(p: int) -> CurveTally:
     sqrt_of = [[] for _ in range(p)]
     for y in range(p):
         sqrt_of[y * y % p].append(y)
-    inv = [0] * p
-    for v in range(1, p):
-        inv[v] = pow(v, p - 2, p)
-
-    def add_for(a):
-        def add(pt1, pt2):
-            if pt1 is None:
-                return pt2
-            if pt2 is None:
-                return pt1
-            x1, y1 = pt1
-            x2, y2 = pt2
-            if x1 == x2 and (y1 + y2) % p == 0:
-                return None
-            if pt1 == pt2:
-                lam = (3 * x1 * x1 + a) * inv[2 * y1 % p] % p
-            else:
-                lam = (y2 - y1) * inv[(x2 - x1) % p] % p
-            x3 = (lam * lam - x1 - x2) % p
-            return (x3, (lam * (x1 - x3) - y1) % p)
-
-        return add
-
     counts: dict[GroupShape, int] = {}
     singular = 0
     cubes = [x * x * x % p for x in range(p)]
     scalings = {(pow(u, 4, p), pow(u, 6, p)) for u in range(1, p)}
     seen = bytearray(p * p)
     for a in range(p):
-        add = add_for(a)
+        add = functools.partial(_add, 0, 0, 0, a, p, inv)
         for b in range(p):
             if seen[a * p + b]:
                 continue
@@ -341,33 +347,8 @@ def _tally_large(p: int) -> CurveTally:
     return _tally(p, counts, p - 1, f"{singular} singular pairs")
 
 
-def _tally_small(p: int) -> CurveTally:
+def _tally_small(p: int, inv: list[int]) -> CurveTally:
     """Full Weierstrass scan for p in {2, 3}, weight 1/((p-1) p^3)."""
-
-    def add_for(a1, a2, a3, a4, a6):
-        def add(pt1, pt2):
-            if pt1 is None:
-                return pt2
-            if pt2 is None:
-                return pt1
-            x1, y1 = pt1
-            x2, y2 = pt2
-            if x1 == x2 and (y1 + y2 + a1 * x2 + a3) % p == 0:
-                return None
-            if x1 == x2:
-                den = (2 * y1 + a1 * x1 + a3) % p
-                lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * pow(den, p - 2, p) % p
-                nu = (-(x1**3) + a4 * x1 + 2 * a6 - a3 * y1) * pow(den, p - 2, p) % p
-            else:
-                den = pow((x2 - x1) % p, p - 2, p)
-                lam = (y2 - y1) * den % p
-                nu = (y1 * x2 - y2 * x1) * den % p
-            x3 = (lam * lam + a1 * lam - a2 - x1 - x2) % p
-            y3 = (-(lam + a1) * x3 - nu - a3) % p
-            return (x3, y3)
-
-        return add
-
     counts: dict[GroupShape, int] = {}
     nonsingular = 0
     for a1, a2, a3, a4, a6 in itertools.product(range(p), repeat=5):
@@ -385,7 +366,8 @@ def _tally_small(p: int) -> CurveTally:
             for y in range(p)
             if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % p == 0
         ]
-        shape = _group_shape(points, len(points) + 1, add_for(a1, a2, a3, a4, a6))
+        add = functools.partial(_add, a1, a2, a3, a4, p, inv)
+        shape = _group_shape(points, len(points) + 1, add)
         counts[shape] = counts.get(shape, 0) + 1
     return _tally(p, counts, (p - 1) * p**3, f"{nonsingular} nonsingular quintuples")
 
@@ -410,7 +392,8 @@ def brute_force_tally(p: int) -> CurveTally:
         raise ValueError(f"oracle prime {p} exceeds the cap {ORACLE_PRIME_CAP}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _tally_small(p) if p <= 3 else _tally_large(p)
+    inv = [0] + [pow(v, p - 2, p) for v in range(1, p)]
+    return _tally_small(p, inv) if p <= 3 else _tally_large(p, inv)
 
 
 def admissible_shapes(p: int) -> list[GroupShape]:

@@ -58,13 +58,6 @@ def gl2_order(ell: int, e: int) -> int:
     return ell ** (4 * (e - 1) + 1) * (ell + 1) * (ell - 1) ** 2
 
 
-def count_c_level_one(n: int, ell: int) -> int:
-    """#C(N, 1; l) = l (l^2 - (N/l)^2 l - 1 - (N-1/l)^2), any N."""
-    return ell * (
-        ell**2 - kronecker(n, ell) ** 2 * ell - 1 - kronecker(n - 1, ell) ** 2
-    )
-
-
 def _product_histogram(entries: list[int] | range, mod: int) -> Counter:
     """Key r counts the (b, c) in entries^2 with bc = r mod `mod`."""
     return Counter(b * c % mod for b in entries for c in entries)

@@ -455,6 +455,25 @@ def test_out_into_missing_directory(capsys, tmp_path):
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
+def test_closed_stdout_is_one_usage_error():
+    # the reader goes away before the report is written: a broken pipe
+    proc = subprocess.Popen([sys.executable, "-m", "curvecensus.cli", "grid", "--mmax", "2",
+                             "--kmax", "3"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == cli.USAGE_ERROR, err
+    assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    # fd 1 closed before the interpreter starts, so sys.stdout is None
+    proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m",
+                           "curvecensus.cli", "mg", "--m", "1", "--k", "2"],
+                          stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == cli.USAGE_ERROR, proc.stderr
+    assert proc.stderr == "error: cannot write stdout: Bad file descriptor\n"
+
+
 def test_mn_route_disagreement_exits_1(capsys, monkeypatch):
     real = curves.m_of_order_by_primes
     monkeypatch.setattr(curves, "m_of_order_by_primes", lambda n: real(n) + 1)

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 from fractions import Fraction
 
@@ -295,6 +296,43 @@ def _per_pair_tally(p):
             shape = curves._group_shape(points, len(points) + 1, add)
             counts[shape] = counts.get(shape, 0) + 1
     return {s: Fraction(c, p - 1) for s, c in counts.items()}
+
+
+def _check_group_law(p, a1, a2, a3, a4, a6):
+    """Identity, inverse, closure, commutativity and associativity of curves._add."""
+    inv = [0] + [pow(v, -1, p) for v in range(1, p)]
+    points = [None] + [(x, y) for x in range(p) for y in range(p)
+                       if (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0]
+    index = {pt: i for i, pt in enumerate(points)}
+    # the sum table; a sum off the curve is a KeyError
+    table = [[index[curves._add(a1, a2, a3, a4, p, inv, pt1, pt2)] for pt2 in points]
+             for pt1 in points]
+    curve = (p, a1, a2, a3, a4, a6)
+    for i, pt in enumerate(points):
+        assert table[0][i] == table[i][0] == i, curve
+        if pt is not None:
+            x, y = pt
+            assert table[i][index[(x, (-y - a1 * x - a3) % p)]] == 0, (curve, pt)
+    n = len(points)
+    for i in range(n):
+        row = table[i]
+        for j in range(n):
+            assert row[j] == table[j][i], (curve, i, j)
+            for k in range(n):
+                assert table[row[j]][k] == row[table[j][k]], (curve, i, j, k)
+
+
+def test_group_law_axioms_on_small_curves():
+    for p in (2, 3):
+        for a1, a2, a3, a4, a6 in itertools.product(range(p), repeat=5):
+            b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+            b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+            if (-b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6) % p:
+                _check_group_law(p, a1, a2, a3, a4, a6)
+    for p in (5, 7):
+        for a, b in itertools.product(range(p), repeat=2):
+            if (4 * a**3 + 27 * b * b) % p:
+                _check_group_law(p, 0, 0, 0, a, b)
 
 
 def test_orbit_tally_equals_per_pair_scan(oracle_tallies):

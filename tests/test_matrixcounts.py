@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from curvecensus import matrixcounts as mc
-from curvecensus.arith import primes_up_to, valuation
+from curvecensus.arith import kronecker, primes_up_to, valuation
 from curvecensus.matrixcounts import MatrixCountQuery as Q
 
 
@@ -30,16 +30,17 @@ def test_gl2_order_against_brute_force():
 
 
 def test_count_c_level_one():
-    assert mc.count_c_level_one(1, 3) == 15
-    assert mc.count_c_level_one(2, 2) == 4  # ell | N: ell (ell^2 - 2)
+    # e = 1: #C(N, 1; l) = l (l^2 - (N/l)^2 l - 1 - ((N - 1)/l)^2), any N
     for ell in (2, 3, 5):
         for n in range(1, 2 * ell + 1):
-            assert mc.count_c_brute(Q(n, 1, ell, 1)) == mc.count_c_level_one(n, ell)
+            level_one = ell * (ell**2 - kronecker(n, ell) ** 2 * ell - 1
+                               - kronecker(n - 1, ell) ** 2)
+            assert mc.count_c_brute(Q(n, 1, ell, 1)) == level_one, (ell, n)
 
 
 def test_count_c_brute_examples():
     assert mc.count_c_brute(Q(1, 1, 3, 1)) == 15
-    assert mc.count_c_brute(Q(2, 1, 2, 1)) == 4
+    assert mc.count_c_brute(Q(2, 1, 2, 1)) == 4  # ell | N: ell (ell^2 - 2)
     assert mc.count_c_brute(Q(4, 2, 2, 3)) == mc.count_c_closed(Q(4, 2, 2, 3)) == 96
 
 
