@@ -33,12 +33,11 @@ from .curves import (
     trace_discriminant,
 )
 from .localfactors import (
-    LocalFactorTable,
     aut_order,
-    conjectural_main_term,
     j_r_v,
     k_of_group,
     k_of_order,
+    main_term,
     p_of_ell,
     script_j,
     script_j_by_levels,

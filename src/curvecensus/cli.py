@@ -6,9 +6,11 @@ count), verify (dual-route suites).  Each quantity and each comparison of
 two routes is computed in the library module that owns it; the commands
 only format it.  Output is CSV or JSON with a fixed column order and floats
 printed to 10 significant digits, so identical invocations are
-byte-identical.  Everything runs on one thread; --threads
-is accepted, validated and echoed in the JSON config for compatibility, and
-changes neither the work nor the output.  Class numbers are counted per
+byte-identical.  The k_*_truncated cells print the constants K in closed
+form, the twin-prime constant times a finite rational, so no Euler product
+is truncated.  Everything runs on one thread; --threads is accepted,
+validated and echoed in the JSON config for compatibility, and changes
+neither the work nor the output.  Class numbers are counted per
 discriminant on first use and memoized in memory for the run; nothing is
 cached on disk, and no command loads a module outside the standard library.
 The import loads only what a command uses: the records are named tuples,
@@ -17,8 +19,8 @@ by commas, since no cell holds a comma, quote or line break.
 
 The argparse parser is the only place input is checked and the only
 dispatch table: its type converters bound every number and path, and each
-subcommand names its cmd_* function.  The global flags --format, --cutoff,
---out and --threads are declared once, on the top-level parser, so they go
+subcommand names its cmd_* function.  The global flags --format, --out
+and --threads are declared once, on the top-level parser, so they go
 before the subcommand; after it they are unrecognized arguments.  Exit
 codes: 0 success (and --help), 1 verification mismatch or disagreeing
 computation routes, 2 usage error.  Every usage error, whether from the
@@ -58,7 +60,7 @@ def _emit(args, columns: list[str], rows: list[list],
         doc: dict = {"command": args.command}
         if mismatches is not None:
             doc["suite"] = args.suite
-        # the parser sets format, cutoff, out and threads before the subcommand's arguments
+        # the parser sets format, out and threads before the subcommand's arguments
         doc["config"] = {
             key: val for key, val in vars(args).items()
             if key not in {"out", "command", "run"} and val is not None
@@ -93,25 +95,25 @@ def _emit(args, columns: list[str], rows: list[list],
 # --- subcommands ------------------------------------------------------------
 
 
-def _main_term_cells(m: int, k: int, total: Fraction, cutoff: int):
-    """#Aut, the K(m, k) table, and the main-term and ratio cells of a shape.
+def _main_term_cells(m: int, k: int, total: Fraction):
+    """#Aut, the constant K(m, k), and the main-term and ratio cells of a shape.
 
     Both cells are empty for the trivial group (log 1 = 0).
     """
     n = m * m * k
     aut = localfactors.aut_order(m, k)
-    table = localfactors.k_of_group(m, k, cutoff)
+    constant = localfactors.k_of_group(m, k)
     if n < 2:
-        return aut, table, "", ""
-    main = localfactors.main_term(n, aut, table.truncated_value)
-    return aut, table, _fmt_float(main), _fmt_float(float(total) / main)
+        return aut, constant, "", ""
+    main = localfactors.main_term(n, aut, constant)
+    return aut, constant, _fmt_float(main), _fmt_float(float(total) / main)
 
 
 def cmd_mg(args) -> int:
     m, k = args.m, args.k
     n = m * m * k
     total = curves.m_of_group(m, k)
-    aut, table, main_s, ratio_s = _main_term_cells(m, k, total, args.cutoff)
+    aut, constant, main_s, ratio_s = _main_term_cells(m, k, total)
     summary = {
         "m": m,
         "k": k,
@@ -120,8 +122,7 @@ def cmd_mg(args) -> int:
         "m_of_group_decimal": _fmt_float(float(total)),
         "delta": _fmt_float(curves.delta_statistic(m, k)),
         "aut_order": aut,
-        "k_shape_truncated": _fmt_float(table.truncated_value),
-        "k_shape_tail_bound": _fmt_float(table.tail_bound),
+        "k_shape_truncated": _fmt_float(constant),
         "main_term": main_s,
         "ratio": ratio_s,
     }
@@ -143,14 +144,12 @@ def cmd_mn(args) -> int:
     total, terms = curves.m_of_order_terms(n)
     x_eff = args.x if args.x is not None else math.isqrt(n)
     truncated = sum((t for m, _, t in terms if m <= x_eff), Fraction(0))
-    table = localfactors.k_of_order(n, args.cutoff)
     summary = {
         "n": n,
         "m_of_order": _fmt_frac(total),
         "m_of_order_decimal": _fmt_float(float(total)),
         "eta": _fmt_float(curves.eta_statistic(n)),
-        "k_order_truncated": _fmt_float(table.truncated_value),
-        "k_order_tail_bound": _fmt_float(table.tail_bound),
+        "k_order_truncated": _fmt_float(localfactors.k_of_order(n)),
         "x": x_eff,
         "truncated_sum": _fmt_frac(truncated),
         "residual": _fmt_frac(total - truncated),
@@ -167,12 +166,12 @@ def cmd_grid(args) -> int:
     for m in range(1, args.mmax + 1):
         for k in range(1, args.kmax + 1):
             total = curves.m_of_group(m, k)
-            aut, table, main_s, ratio_s = _main_term_cells(m, k, total, args.cutoff)
+            aut, constant, main_s, ratio_s = _main_term_cells(m, k, total)
             rows.append([
                 m, k, m * m * k,
                 _fmt_frac(total), _fmt_float(float(total)),
                 aut,
-                _fmt_float(table.truncated_value),
+                _fmt_float(constant),
                 main_s, ratio_s,
             ])
     columns = [
@@ -185,23 +184,19 @@ def cmd_grid(args) -> int:
 
 def cmd_constants(args) -> int:
     m, k, n = args.m, args.k, args.n
-    shape_table = localfactors.k_of_group(m, k, args.cutoff)
     rows = [
         ["m", str(m)],
         ["k", str(k)],
         ["group_order", str(m * m * k)],
         ["aut_order", str(localfactors.aut_order(m, k))],
-        ["k_shape_truncated", _fmt_float(shape_table.truncated_value)],
-        ["k_shape_tail_bound", _fmt_float(shape_table.tail_bound)],
+        ["k_shape_truncated", _fmt_float(localfactors.k_of_group(m, k))],
         ["two_adic_constant", _fmt_frac(localfactors.script_j(m, k))],
         ["delta", _fmt_float(curves.delta_statistic(m, k))],
     ]
     if n is not None:
-        order_table = localfactors.k_of_order(n, args.cutoff)
         rows += [
             ["n", str(n)],
-            ["k_order_truncated", _fmt_float(order_table.truncated_value)],
-            ["k_order_tail_bound", _fmt_float(order_table.tail_bound)],
+            ["k_order_truncated", _fmt_float(localfactors.k_of_order(n))],
             ["eta", _fmt_float(curves.eta_statistic(n))],
         ]
     _emit(args, ["quantity", "value"], rows)
@@ -405,8 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact weighted counts of elliptic curve groups over prime fields.",
     )
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--cutoff", type=_int_in(100), default=localfactors.DEFAULT_CUTOFF,
-                        help="Euler product truncation (default 100000)")
     parser.add_argument("--out", metavar="PATH", type=_out_path, default=None)
     parser.add_argument("--threads", type=_int_in(1), default=1,
                         help="accepted for compatibility; has no effect on the work or the output")

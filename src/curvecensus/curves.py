@@ -75,8 +75,14 @@ def in_hasse_window(n: int, p: int) -> bool:
     return (p - 1 - n) ** 2 < 4 * n
 
 
+def _require_shape(m: int, k: int) -> None:
+    if m < 1 or k < 1:
+        raise ValueError(f"invalid shape ({m}, {k})")
+
+
 def trace_discriminant(m: int, k: int, p: int) -> int:
     """d(p) = ((p-1)/m - mk)^2 - 4k; requires p = 1 (mod m) inside the window."""
+    _require_shape(m, k)
     n = m * m * k
     if p % m != 1 % m:
         raise ValueError(f"p = {p} is not 1 mod m = {m}")
@@ -87,6 +93,7 @@ def trace_discriminant(m: int, k: int, p: int) -> int:
 
 def m_p_of_group(m: int, k: int, p: int) -> Fraction:
     """Weighted count of classes over F_p with group Z/m x Z/mk."""
+    _require_shape(m, k)
     n = m * m * k
     if p % m != 1 % m or not in_hasse_window(n, p):
         return Fraction(0)
@@ -107,16 +114,23 @@ def require_scannable(k: int) -> None:
 
 
 def m_of_group(m: int, k: int) -> Fraction:
-    """Weighted count over all primes: sum of m_p_of_group over the window.
+    """Weighted count over all primes: sum of m_p_of_group over the window."""
+    return _window_sum(m, k, k)
 
-    Both bounds are checked before any candidate is tested: the window scan
-    (OverflowError), then the class-number scan cap (ValueError).
+
+def _window_sum(m: int, k: int, restriction: int) -> Fraction:
+    """Sum of H_restriction(d(p)) over the window primes p = 1 (mod m) of m^2 k.
+
+    The shape, then both bounds are checked before any candidate is tested:
+    the window scan (OverflowError), then the class-number scan cap
+    (ValueError).
     """
+    _require_shape(m, k)
     n = m * m * k
     _window_range(n, m)
     require_scannable(k)
     # every window prime is 1 mod m, so d(p) needs no checks here
-    twelfths = sum(class_number_twelfths(((p - 1) // m - m * k) ** 2 - 4 * k, k)
+    twelfths = sum(class_number_twelfths(((p - 1) // m - m * k) ** 2 - 4 * k, restriction)
                    for p in window_primes_in_class(n, m))
     return Fraction(twelfths, 12)
 
@@ -165,14 +179,11 @@ def m_p_of_order(n: int, nt: int, p: int) -> Fraction:
 
 
 def m_of_order_by_primes(n: int) -> Fraction:
-    """M(n) summed over the window primes of n, bounds checked first."""
+    """M(n) summed over the window primes of n, bounds checked first: the
+    window sum of the shape (1, n), whose d(p) = (p-1-n)^2 - 4n, unrestricted."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    _window_range(n, 1)
-    require_scannable(n)
-    twelfths = sum(class_number_twelfths((p - 1 - n) ** 2 - 4 * n, 1)
-                   for p in window_primes_in_class(n, 1))
-    return Fraction(twelfths, 12)
+    return _window_sum(1, n, 1)
 
 
 def _sum_twelfths(counts) -> Fraction:
@@ -229,6 +240,7 @@ def delta_statistic(m: int, k: int) -> float:
     (phi(m) log(2N) / N) * sum of sqrt(4N - (p-1-N)^2) over window primes
     p = 1 (mod m); the radicand equals (p - N^-)(N^+ - p) exactly.
     """
+    _require_shape(m, k)
     n = m * m * k
     s = sum(
         math.sqrt(4 * n - (p - 1 - n) ** 2) for p in window_primes_in_class(n, m)

@@ -4,16 +4,19 @@ The conjectural density constant for a group shape (m, k) of order N is an
 Euler product: a generic factor 1 - ((N-1/l)^2 l + 1)/((l-1)^2 (l+1)) at
 primes l not dividing N, 1 - 1/l^2 at l | m, and 1 - 1/(l(l-1)) at l | k,
 l not dividing m.  The order-only constant replaces the last two by
-1 - 1/(l^v (l-1)) with v the l-adic valuation.  Truncated products carry a
-rigorous tail bound.
+1 - 1/(l^v (l-1)) with v the l-adic valuation.
 
-At a prime l dividing neither N nor N-1 the generic factor is
-l(l-2)/(l-1)^2 whatever N is, so the truncated product reads those factors
-from one float table per cutoff and evaluates exact factors only at the
-primes dividing N(N-1) (every prime when N = 1).  The floats are multiplied
-in ascending order of l, each the correctly rounded value of its exact
-factor, so the product is the same float as the exact factors rounded and
-multiplied one by one.
+At an odd prime l dividing neither N nor N-1 the generic factor is
+g(l) = 1 - 1/(l-1)^2 whatever N is, and the product of g over the odd
+primes is the twin-prime constant C2.  So for N > 1 the constant is
+C2 * R in closed form, R the exact product of f(l)/g(l) over the finitely
+many primes l | N(N-1), with f the shape or order factor and g(2) = 1 (2
+always divides N(N-1)).  At N = 1, N - 1 = 0 and every prime takes
+1 - 1/((l-1)^2 (l+1)); that product is the constant A.  C2 and A are
+frozen literals (H. Cohen, "High precision computation of Hardy-Littlewood
+constants"; P. Moree, 2000); the tests recompute both, and compare the
+closed form with the truncated product, one exact factor per prime, within
+its tail bound exp(4/z) - 1 at cutoff z.
 
 T(n), P(l) and the 2-adic constant script J are the local sums the
 main-term analysis rests on.  Each has a closed form, which production
@@ -24,31 +27,15 @@ tests compare it with.
 
 from __future__ import annotations
 
-import functools
 import math
-from bisect import bisect_left
 from fractions import Fraction
-from typing import NamedTuple
 
-from .arith import euler_phi, factorize, kronecker, primes_up_to, valuation
+from .arith import euler_phi, factorize, kronecker, valuation
 
-DEFAULT_CUTOFF = 100_000
-
-# Each omitted generic factor beyond the cutoff satisfies |log factor| <=
-# 4/l^2, and sum of 1/l^2 over l > z is below 1/z, so the full product
-# differs from the truncation by a factor within exp(+-4/cutoff).
-_TAIL_LOG_CONSTANT = 4.0
-
-
-class LocalFactorTable(NamedTuple):
-    """A truncated float Euler product and its tail bound.
-
-    The product runs over the primes up to the cutoff and the primes of N
-    above it; the exact factor at a prime is group_factor or order_factor.
-    """
-
-    truncated_value: float
-    tail_bound: float
+# prod over odd primes l of 1 - 1/(l-1)^2, the twin-prime constant
+C2 = 0.66016181584686957
+# prod over all primes l of 1 - 1/((l-1)^2 (l+1)), the constant at N = 1
+A = 0.61513265731817180
 
 
 def aut_order(m: int, k: int) -> int:
@@ -70,7 +57,8 @@ def aut_order(m: int, k: int) -> int:
 def generic_factor(n: int, ell: int) -> Fraction:
     """Factor at a prime ell not dividing n: 1 - ((n-1/l)^2 l + 1)/((l-1)^2 (l+1))."""
     chi2 = kronecker(n - 1, ell) ** 2
-    return 1 - Fraction(chi2 * ell + 1, (ell - 1) ** 2 * (ell + 1))
+    den = (ell - 1) ** 2 * (ell + 1)
+    return Fraction(den - chi2 * ell - 1, den)
 
 
 def group_factor(m: int, k: int, ell: int) -> Fraction:
@@ -90,53 +78,29 @@ def order_factor(n: int, ell: int) -> Fraction:
     return generic_factor(n, ell)
 
 
-@functools.lru_cache(maxsize=16)
-def _generic_floats(cutoff: int) -> tuple[list[int], tuple[float, ...]]:
-    """Primes up to cutoff and the float of l(l-2)/(l-1)^2 at each.
-
-    int / int division is correctly rounded, and the fraction is in lowest
-    terms, so each float equals that of the exact generic factor.
-    """
-    primes = primes_up_to(cutoff)
-    return primes, tuple(ell * (ell - 2) / (ell - 1) ** 2 for ell in primes)
-
-
-def _assemble(factor_at, n: int, cutoff: int) -> LocalFactorTable:
-    if cutoff < 100:
-        raise ValueError(f"cutoff must be >= 100, got {cutoff}")
-    primes, generic = _generic_floats(cutoff)
+def _closed_form(factor_at, n: int) -> float:
+    """C2 * R, R the product of f(l)/g(l) over the primes l | n(n-1); A at n = 1."""
     if n == 1:
-        # N - 1 = 0, so each prime takes 1 - 1/((l-1)^2 (l+1)) = (D-1)/D,
-        # under both the shape and order rules
-        floats = [(d - 1) / d for d in ((ell - 1) ** 2 * (ell + 1) for ell in primes)]
-    else:
-        dividing = [ell for ell, _ in factorize(n).factors]
-        floats = list(generic)
-        for ell in dividing + [ell for ell, _ in factorize(n - 1).factors]:
-            if ell <= cutoff:
-                f = factor_at(ell)
-                floats[bisect_left(primes, ell)] = f.numerator / f.denominator
-        for ell in dividing:  # ascending, so each prime above the cutoff comes last
-            if ell > cutoff:
-                f = factor_at(ell)
-                floats.append(f.numerator / f.denominator)
-    value = math.prod(floats, start=1.0)  # left to right, one rounding per factor
-    tail = abs(value) * (math.exp(_TAIL_LOG_CONSTANT / cutoff) - 1.0)
-    return LocalFactorTable(value, tail)
+        return A
+    ratio = Fraction(1)
+    for ell in {ell for x in (n, n - 1) for ell, _ in factorize(x).factors}:
+        generic = 1 - Fraction(1, (ell - 1) ** 2) if ell > 2 else 1
+        ratio *= factor_at(ell) / generic
+    return C2 * float(ratio)
 
 
-def k_of_group(m: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> LocalFactorTable:
-    """Truncated shape constant and its tail bound."""
+def k_of_group(m: int, k: int) -> float:
+    """The shape constant K(m, k) in closed form."""
     if m < 1 or k < 1:
         raise ValueError(f"invalid shape ({m}, {k})")
-    return _assemble(lambda ell: group_factor(m, k, ell), m * m * k, cutoff)
+    return _closed_form(lambda ell: group_factor(m, k, ell), m * m * k)
 
 
-def k_of_order(n: int, cutoff: int = DEFAULT_CUTOFF) -> LocalFactorTable:
-    """Truncated order constant and its tail bound."""
+def k_of_order(n: int) -> float:
+    """The order constant K(n) in closed form."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    return _assemble(lambda ell: order_factor(n, ell), n, cutoff)
+    return _closed_form(lambda ell: order_factor(n, ell), n)
 
 
 def main_term(n: int, aut: int, constant: float) -> float:
@@ -144,14 +108,6 @@ def main_term(n: int, aut: int, constant: float) -> float:
     if n < 2:
         raise ValueError("main term undefined for the trivial group (log 1 = 0)")
     return constant * n * n / (aut * math.log(n))
-
-
-def conjectural_main_term(m: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> tuple[float, float]:
-    """K(m, k) * N^2 / (#Aut * log N), truncated; returns (value, tail bound)."""
-    n = m * m * k
-    aut = aut_order(m, k)
-    table = k_of_group(m, k, cutoff)
-    return main_term(n, aut, table.truncated_value), main_term(n, aut, table.tail_bound)
 
 
 # --- the local sums T, P ----------------------------------------------------

@@ -52,7 +52,9 @@ class MatrixCountQuery(namedtuple("MatrixCountQuery", "n_order n_torsion ell e")
 
 
 def gl2_order(ell: int, e: int) -> int:
-    """#GL2(Z/l^e) = l^(4(e-1)+1) (l+1) (l-1)^2."""
+    """#GL2(Z/l^e) = l^(4(e-1)+1) (l+1) (l-1)^2, for a prime l."""
+    if not is_prime(ell):
+        raise ValueError(f"{ell} is not prime")
     if e < 1:
         raise ValueError(f"exponent must be >= 1, got {e}")
     return ell ** (4 * (e - 1) + 1) * (ell + 1) * (ell - 1) ** 2

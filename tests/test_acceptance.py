@@ -149,7 +149,8 @@ def test_criterion_8_main_term_sanity():
         ratios = []
         for m, k in shapes:
             count = curves.m_of_group(m, k)
-            main, _ = localfactors.conjectural_main_term(m, k)
+            main = localfactors.main_term(m * m * k, localfactors.aut_order(m, k),
+                                          localfactors.k_of_group(m, k))
             ratios.append(float(count) / main)
         inside = sum(1 for r in ratios if 0.2 < r < 5.0)
         mean = sum(ratios) / len(ratios)

@@ -156,8 +156,7 @@ def test_primes_up_to():
     assert arith.primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     ps = arith.primes_up_to(10000)
     assert len(ps) == 1229 and ps[-1] == 9973
-    # the odd-only sieve at every bound up to 12, where its edges sit, and at the
-    # default Euler-product cutoff
+    # the odd-only sieve at every bound up to 12, where its edges sit, and at 10^5
     for n in [*range(13), 10**5]:
         assert arith.primes_up_to(n) == [p for p in range(n + 1) if arith.is_prime(p)], n
 

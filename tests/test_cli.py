@@ -25,7 +25,7 @@ def load_schema():
 
 
 def test_mg_summary(capsys):
-    code, out = run_cli(capsys, ["--cutoff", "1000", "mg", "--m", "1", "--k", "1"])
+    code, out = run_cli(capsys, ["mg", "--m", "1", "--k", "1"])
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 1
@@ -35,7 +35,7 @@ def test_mg_summary(capsys):
 
 
 def test_mg_never_occurring_group(capsys):
-    code, out = run_cli(capsys, ["--cutoff", "1000", "mg", "--m", "11", "--k", "1"])
+    code, out = run_cli(capsys, ["mg", "--m", "11", "--k", "1"])
     assert code == 0
     row = next(csv.DictReader(io.StringIO(out)))
     assert row["m_of_group"] == "0/1"
@@ -44,7 +44,7 @@ def test_mg_never_occurring_group(capsys):
 
 
 def test_mg_per_prime(capsys):
-    code, out = run_cli(capsys, ["--cutoff", "1000", "mg", "--m", "2", "--k", "1", "--per-prime"])
+    code, out = run_cli(capsys, ["mg", "--m", "2", "--k", "1", "--per-prime"])
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["p", "term", "term_decimal"]
@@ -52,32 +52,34 @@ def test_mg_per_prime(capsys):
 
 
 def test_mn_table_and_summary(capsys):
-    code, out = run_cli(capsys, ["--format", "json", "--cutoff", "1000", "mn", "--n", "4", "--x", "1"])
+    code, out = run_cli(capsys, ["--format", "json", "mn", "--n", "4", "--x", "1"])
     assert code == 0
     doc = json.loads(out)
     jsonschema.validate(doc, load_schema())
-    assert doc["config"] == {"format": "json", "cutoff": 1000, "threads": 1, "n": 4, "x": 1}
+    assert doc["config"] == {"format": "json", "threads": 1, "n": 4, "x": 1}
     assert doc["summary"]["m_of_order"] == "31/12"
     assert doc["summary"]["truncated_sum"] == "2/1"
     assert doc["summary"]["residual"] == "7/12"
     assert doc["rows"] == [[1, 4, "2/1", "2"], [2, 1, "7/12", "0.5833333333"]]
 
 
-# SHA-256 of stdout as printed at commit 4dd9dd4, before class numbers were counted from
-# square roots mod 4a: the new count must not move a byte
+# SHA-256 of stdout.  The CSV mn and mg --per-prime digests are those printed at commit
+# 4dd9dd4, before class numbers were counted from square roots mod 4a: the new count must
+# not move a byte.  The JSON mn and grid digests print the constants K in closed form,
+# C2 * R, and JSON mn has neither a tail-bound cell nor a cutoff in config.
 PINNED_STDOUT = [
     (["--format", "json", "mn", "--n", "1088"],
-     "564242cf20fb477a2f9bc2470ad335bddf2e71765c168dac2d892ff6ee59411e"),
+     "66f3b5edf1d9b695798e22a66ceafa891a0f7103f39aa95ca33a059de1f16bb4"),
     (["--format", "json", "mn", "--n", "53391"],
-     "7570e098ee9d51e20713d33b091bbcbd54f572dce8a64baaafa50018979e7080"),
+     "f068f74f6466bc553a171745e75fbf07ba3413379f5847cca7a7f9ccbc6c6ae8"),
     (["--format", "json", "mn", "--n", "190103"],
-     "6351756748bd383d160105c06bd1abef17ae914df118d44c75af6c4e73554a67"),
+     "248d794f463acc3abf21d6e4f64969087b1d9a71a9700d7f7d4c1e9233c08082"),
     (["mn", "--n", "1000003"],
      "12eca340db5fba5fdaac14ce442fdc11ade13f9ddd199bc7f3937f52a21fe5e7"),
     (["mg", "--m", "3", "--k", "2999", "--per-prime"],
      "58a506abefbba79912b61edf29781d62d1eb0ccc6532e7a1a647563a95b9e99d"),
     (["grid", "--mmax", "3", "--kmax", "40"],
-     "cd2f23c3e25ca0cedf0466070c5637d1d1df38509fb5d1db2cf52871043c17f0"),
+     "c0194874ce58903bffab59e11d3ad21702fb1c16cc3994d097c20428582365ba"),
 ]
 
 
@@ -127,19 +129,16 @@ def test_csv_rows_join_as_the_csv_module_writes_them(capsys, monkeypatch, args):
 
 
 JSON_CONFIGS = [
-    (["--format", "json", "--cutoff", "1000", "mg", "--m", "2", "--k", "1"],
-     [("format", "json"), ("cutoff", 1000), ("threads", 1), ("m", 2), ("k", 1),
-      ("per_prime", False)]),
-    (["--format", "json", "--cutoff", "1000", "--threads", "2", "grid", "--mmax", "1",
-      "--kmax", "2"],
-     [("format", "json"), ("cutoff", 1000), ("threads", 2), ("mmax", 1), ("kmax", 2)]),
-    (["--format", "json", "--cutoff", "1000", "constants", "--m", "1", "--k", "1"],
-     [("format", "json"), ("cutoff", 1000), ("threads", 1), ("m", 1), ("k", 1)]),
+    (["--format", "json", "mg", "--m", "2", "--k", "1"],
+     [("format", "json"), ("threads", 1), ("m", 2), ("k", 1), ("per_prime", False)]),
+    (["--format", "json", "--threads", "2", "grid", "--mmax", "1", "--kmax", "2"],
+     [("format", "json"), ("threads", 2), ("mmax", 1), ("kmax", 2)]),
+    (["--format", "json", "constants", "--m", "1", "--k", "1"],
+     [("format", "json"), ("threads", 1), ("m", 1), ("k", 1)]),
     (["--format", "json", "matrix", "--n", "4", "--tor", "2", "--l", "2", "--e", "3"],
-     [("format", "json"), ("cutoff", 100000), ("threads", 1), ("n", 4), ("tor", 2),
-      ("ell", 2), ("e", 3)]),
+     [("format", "json"), ("threads", 1), ("n", 4), ("tor", 2), ("ell", 2), ("e", 3)]),
     (["--format", "json", "verify", "matrix", "--lmax", "2", "--emax", "1"],
-     [("format", "json"), ("cutoff", 100000), ("threads", 1), ("suite", "matrix"),
+     [("format", "json"), ("threads", 1), ("suite", "matrix"),
       ("pmax", 13), ("lmax", 2), ("emax", 1), ("nmax", 12), ("mmax", 3), ("kmax", 5)]),
 ]
 
@@ -155,7 +154,7 @@ def test_json_config(capsys):
 
 
 def test_grid(capsys):
-    code, out = run_cli(capsys, ["--cutoff", "1000", "grid", "--mmax", "2", "--kmax", "3"])
+    code, out = run_cli(capsys, ["grid", "--mmax", "2", "--kmax", "3"])
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 6
@@ -164,12 +163,14 @@ def test_grid(capsys):
     assert lookup[("2", "1")]["m_of_group"] == "7/12"
     for (m, k), row in lookup.items():
         if (m, k) != ("1", "1"):
-            value, _ = localfactors.conjectural_main_term(int(m), int(k), cutoff=1000)
+            m, k = int(m), int(k)
+            value = localfactors.main_term(m * m * k, localfactors.aut_order(m, k),
+                                           localfactors.k_of_group(m, k))
             assert row["main_term"] == format(value, ".10g"), (m, k)
 
 
 def test_constants(capsys):
-    code, out = run_cli(capsys, ["--cutoff", "1000", "constants", "--m", "1", "--k", "1", "--n", "4"])
+    code, out = run_cli(capsys, ["constants", "--m", "1", "--k", "1", "--n", "4"])
     assert code == 0
     rows = dict(r for r in csv.reader(io.StringIO(out)) if r[0] != "quantity")
     assert rows["two_adic_constant"] == "2/3"
@@ -285,14 +286,16 @@ USAGE_ERRORS = [
     # the global flags go before the subcommand; after it they are unrecognized
     ["mg", "--m", "1", "--k", "1", "--threads", "0"],
     ["mg", "--m", "1", "--k", "1", "--format", "json"],
-    ["mg", "--m", "1", "--k", "1", "--cutoff", "1000"],
     ["mg", "--m", "1", "--k", "1", "--out", "report.csv"],
     ["mg", "--m", "1", "--k", "1", "--threads", "2"],
     # an empty --out path would otherwise fall back to stdout
     ["--out", "", "mg", "--m", "1", "--k", "1"],
     ["verify", "oracle", "--pmax", "128"],
     ["verify", "matrix", "--nmax", "0"],
+    # the constants need no Euler-product cutoff, and there is no flag to set one
     ["--cutoff", "10", "mg", "--m", "1", "--k", "1"],
+    ["--cutoff", "1000", "mg", "--m", "1", "--k", "2"],
+    ["mg", "--m", "1", "--k", "1", "--cutoff", "1000"],
     ["matrix", "--n", "4", "--l", "4", "--e", "1"],
     ["constants", "--m", "1", "--k", "1", "--n", "0"],
     ["mn", "--n", "4", "--x", "-3"],
@@ -327,13 +330,40 @@ def test_help_exits_0(capsys):
 
 def test_sieve_cap_is_a_usage_error(capsys):
     # a 10^15-byte prime sieve: refused before any allocation
-    for args in (["--cutoff", "1000000000000000", "constants", "--m", "1", "--k", "1"],
-                 ["verify", "constants", "--lmax", "1000000000000000"]):
-        code = cli.main(args)
-        out, err = capsys.readouterr()
-        assert code == cli.USAGE_ERROR, args
-        assert out == ""
-        assert err.startswith("error: prime sieve") and err.count("\n") == 1
+    code = cli.main(["verify", "constants", "--lmax", "1000000000000000"])
+    out, err = capsys.readouterr()
+    assert code == cli.USAGE_ERROR
+    assert out == ""
+    assert err.startswith("error: prime sieve") and err.count("\n") == 1
+
+
+# Runs each argv through main in a fresh interpreter, so no memo holds primes from an
+# earlier request, and prints the largest bound any module passed to primes_up_to.
+_SIEVE_PROBE = """
+import contextlib, io, sys
+from curvecensus import arith, cli
+real, bounds = arith.primes_up_to, [0]
+def spy(n):
+    bounds.append(n)
+    return real(n)
+for module in list(sys.modules.values()):
+    if module.__name__.startswith("curvecensus") and getattr(module, "primes_up_to", None) is real:
+        module.primes_up_to = spy
+for args in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(args.split()):
+            sys.exit(args)
+print(max(bounds))
+"""
+
+
+def test_no_census_or_orders_request_sieves_far():
+    requests = ["mg --m 1 --k 3000", "grid --mmax 3 --kmax 16",
+                "constants --m 2 --k 300 --n 1200", "mn --n 199000"]
+    proc = subprocess.run([sys.executable, "-c", _SIEVE_PROBE, *requests],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert 0 < int(proc.stdout) <= 2**12
 
 
 def test_class_scan_cap_is_a_usage_error(capsys):
@@ -435,7 +465,7 @@ def test_the_import_loads_only_what_the_command_uses():
 
 def test_out_file(capsys, tmp_path):
     path = tmp_path / "report.csv"
-    code, out = run_cli(capsys, ["--out", str(path), "--cutoff", "1000", "mg", "--m", "1", "--k", "2"])
+    code, out = run_cli(capsys, ["--out", str(path), "mg", "--m", "1", "--k", "2"])
     assert code == 0
     assert out == ""
     assert path.read_text().startswith("m,k,n,m_of_group")
@@ -443,13 +473,13 @@ def test_out_file(capsys, tmp_path):
 
 def test_out_into_missing_directory(capsys, tmp_path):
     path = tmp_path / "missing" / "x.csv"
-    code = cli.main(["--out", str(path), "--cutoff", "1000", "mg", "--m", "1", "--k", "2"])
+    code = cli.main(["--out", str(path), "mg", "--m", "1", "--k", "2"])
     err = capsys.readouterr().err
     assert code == cli.USAGE_ERROR
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not path.exists()
     # an existing directory that cannot be opened as a file fails at write time
-    code = cli.main(["--out", str(tmp_path), "--cutoff", "1000", "mg", "--m", "1", "--k", "2"])
+    code = cli.main(["--out", str(tmp_path), "mg", "--m", "1", "--k", "2"])
     err = capsys.readouterr().err
     assert code == cli.USAGE_ERROR
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
@@ -477,7 +507,7 @@ def test_closed_stdout_is_one_usage_error():
 def test_mn_route_disagreement_exits_1(capsys, monkeypatch):
     real = curves.m_of_order_by_primes
     monkeypatch.setattr(curves, "m_of_order_by_primes", lambda n: real(n) + 1)
-    code = cli.main(["--cutoff", "1000", "mn", "--n", "6"])
+    code = cli.main(["mn", "--n", "6"])
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
@@ -487,7 +517,7 @@ def test_mn_route_disagreement_exits_1(capsys, monkeypatch):
 
 def test_byte_determinism(capsys):
     for args in [
-        ["--cutoff", "1000", "grid", "--mmax", "2", "--kmax", "10"],
+        ["grid", "--mmax", "2", "--kmax", "10"],
         ["--format", "json", "verify", "local"],
         ["--format", "json", "--threads", "2", "verify", "identity", "--nmax", "40"],
     ]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvecensus import curves, quadforms
+from curvecensus import curves, matrixcounts, quadforms
 from curvecensus.arith import primes_in_ap, primes_up_to
 from curvecensus.curves import (
     GroupShape,
@@ -95,6 +95,17 @@ def test_m_of_group_examples():
     assert m_of_group(1, 1) == Fraction(5, 12)
     assert m_of_group(2, 1) == Fraction(7, 12)
     assert m_of_group(11, 1) == 0
+
+
+def test_bad_shapes_are_refused_before_any_arithmetic():
+    probes = [(m_of_group, (0, 1)), (delta_statistic, (0, 1)), (m_p_of_group, (0, 1, 5)),
+              (trace_discriminant, (0, 1, 5)), (m_of_group, (1, 0)), (m_of_group, (-1, 3))]
+    for func, args in probes:
+        with pytest.raises(ValueError, match=r"^invalid shape \(-?\d+, -?\d+\)$"):
+            func(*args)
+    # |GL2(Z/4)| is 96, not what the prime-power formula gives at l = 4
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        matrixcounts.gl2_order(4, 1)
 
 
 def test_m_of_group_bound_guard():

@@ -1,10 +1,12 @@
+import functools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from curvecensus import localfactors as lf
-from curvecensus.arith import factorize, primes_up_to
+from curvecensus.arith import factorize, mobius, primes_up_to
 
 
 def test_aut_order_examples():
@@ -63,20 +65,29 @@ def test_order_factor_branches():
 
 
 def test_truncated_tables():
-    # the product's primes are pinned by the eager-route value checks below
-    assert lf.LocalFactorTable._fields == ("truncated_value", "tail_bound")
-    t = lf.k_of_group(1, 1, cutoff=1000)
+    # the constants are one float each, with no cutoff to choose
+    assert isinstance(lf.k_of_group(1, 1), float)
+    assert lf.k_of_group(1, 1) == lf.k_of_order(1) == lf.A
+    assert lf.k_of_group(1, 7) == lf.k_of_order(7)  # the cyclic shape of a squarefree order
     assert all(lf.group_factor(1, 1, ell) > 0 for ell in primes_up_to(1000))
-    assert 0 < t.truncated_value < 3
     assert lf.order_factor(4, 2) == Fraction(3, 4)
+    with pytest.raises(TypeError):
+        lf.k_of_group(1, 1, 1000)
     with pytest.raises(ValueError):
-        lf.k_of_group(1, 1, cutoff=99)
+        lf.k_of_group(0, 1)
+    with pytest.raises(ValueError):
+        lf.k_of_order(0)
+
+
+@functools.lru_cache(maxsize=None)
+def _primes(cutoff):
+    return primes_up_to(cutoff)
 
 
 def _eager_product(factor_at, n, cutoff):
     """The truncated product the slow way: one exact factor per prime, in order,
     over the primes up to the cutoff and the primes of n above it."""
-    ells = sorted({ell for ell, _ in factorize(n).factors} | set(primes_up_to(cutoff)))
+    ells = sorted({ell for ell, _ in factorize(n).factors} | set(_primes(cutoff)))
     value = 1.0
     for ell in ells:
         f = factor_at(ell)
@@ -84,52 +95,136 @@ def _eager_product(factor_at, n, cutoff):
     return value
 
 
+def _within_tail_bound(closed, truncated, cutoff):
+    # every omitted factor has |log f(l)| <= 4/l^2, and the sum of 1/l^2 over l > z is below 1/z
+    return abs(closed - truncated) <= abs(truncated) * (math.exp(4 / cutoff) - 1)
+
+
+def _shape_within_tail_bound(m, k, cutoff):
+    truncated = _eager_product(lambda ell: lf.group_factor(m, k, ell), m * m * k, cutoff)
+    return _within_tail_bound(lf.k_of_group(m, k), truncated, cutoff)
+
+
+def _order_within_tail_bound(n, cutoff):
+    truncated = _eager_product(lambda ell: lf.order_factor(n, ell), n, cutoff)
+    return _within_tail_bound(lf.k_of_order(n), truncated, cutoff)
+
+
+# the closed form C2 * R against the truncated product, at two cutoffs
 @pytest.mark.parametrize(
     "m, k", [(1, 1), (1, 2), (2, 1), (1, 1009), (3, 2003), (1, 2310 + 1), (2, 7), (6, 35)]
 )
 def test_shape_product_bit_identical_to_eager_route(m, k):
-    t = lf.k_of_group(m, k, cutoff=1000)
-    assert t.truncated_value == _eager_product(lambda ell: lf.group_factor(m, k, ell),
-                                               m * m * k, 1000)
+    for cutoff in (10**3, 10**4):
+        assert _shape_within_tail_bound(m, k, cutoff), cutoff
 
 
-# 1010: the prime 1009 divides only N - 1, so it stays out of the product
+# 1010: the prime 1009 divides only N - 1, so it stays out of the truncated product
 @pytest.mark.parametrize(
     "n", [1, 2, 4, 1009, 1010, 2 * 2003, 2 * 3 * 5 * 7 * 11 + 1, 720, 10**9 + 7]
 )
 def test_order_product_bit_identical_to_eager_route(n):
-    t = lf.k_of_order(n, cutoff=1000)
-    assert t.truncated_value == _eager_product(lambda ell: lf.order_factor(n, ell), n, 1000)
+    for cutoff in (10**3, 10**4):
+        assert _order_within_tail_bound(n, cutoff), cutoff
+
+
+def test_closed_form_within_the_tail_bound_of_each_cutoff():
+    # the first two of each also run at cutoff 10^6; sizes are log-uniform
+    rng = random.Random(0)
+    shapes = [(3, 2003), (6, 35), (1, 1)]
+    shapes += [(rng.randint(1, 30), round(10 ** rng.uniform(0, 6))) for _ in range(997)]
+    orders = [1010, 10**9 + 7, 1, 2, 4, 1009]
+    orders += [round(10 ** rng.uniform(0, 12)) for _ in range(994)]
+    for cutoff, count in ((10**3, 1000), (10**4, 100), (10**5, 10), (10**6, 2)):
+        for m, k in shapes[:count]:
+            assert _shape_within_tail_bound(m, k, cutoff), (m, k, cutoff)
+        for n in orders[:count]:
+            assert _order_within_tail_bound(n, cutoff), (n, cutoff)
+
+
+def test_generic_factor_is_the_twin_prime_factor():
+    # at an odd l dividing neither N nor N - 1 both factors are 1 - 1/(l-1)^2 exactly
+    rng = random.Random(1)
+    shapes = [(1, 1), (2, 3), (6, 35), (3, 2003)]
+    shapes += [(rng.randint(1, 12), rng.randint(1, 10**6)) for _ in range(8)]
+    orders = [2, 4, 1009, 1010, 10**9 + 7] + [rng.randint(2, 10**12) for _ in range(8)]
+    for ell in primes_up_to(10**4)[1:]:
+        generic = 1 - Fraction(1, (ell - 1) ** 2)
+        for m, k in shapes:
+            n = m * m * k
+            if n * (n - 1) % ell:
+                assert lf.group_factor(m, k, ell) == generic, (m, k, ell)
+        for n in orders:
+            if n * (n - 1) % ell:
+                assert lf.order_factor(n, ell) == generic, (n, ell)
+
+
+# Bernoulli numbers B_2j / (2j)! for j = 1 .. 7
+_BERNOULLI_OVER_FACTORIAL = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+                             -691 / 1307674368000, 1 / 74724249600)
+
+
+def _log_zeta(s):
+    """log zeta(s) for real s >= 2, by Euler-Maclaurin from N = 10 (error below 1e-16)."""
+    big_n = 10
+    terms = [j ** -s for j in range(1, big_n)]
+    terms += [big_n ** (1 - s) / (s - 1), big_n ** -s / 2]
+    rising = s  # s (s + 1) ... (s + 2j - 2)
+    for j, b in enumerate(_BERNOULLI_OVER_FACTORIAL, start=1):
+        terms.append(b * rising * big_n ** (1 - s - 2 * j))
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    return math.log(math.fsum(terms))
+
+
+def _prime_zeta_tail(s, small):
+    """Sum of p^-s over the primes p above those in `small`, by Moebius inversion:
+    sum over j of mu(j)/j log zeta_small(js), zeta_small(s) = zeta(s) prod (1 - p^-s)."""
+    total = []
+    for j in range(1, 12):
+        mu = mobius(j)
+        if mu:
+            log_zeta = math.fsum([_log_zeta(j * s)] + [math.log1p(-p ** -(j * s)) for p in small])
+            total.append(mu * log_zeta / j)
+    return math.fsum(total)
+
+
+def test_constants_recomputed():
+    # C2: log(1 - 1/(p-1)^2) = -sum over n >= 2 of (2^n - 2)/(n p^n); the primes
+    # up to 1000 directly, those above through prime zeta values
+    small = primes_up_to(1000)
+    logs = [math.log1p(-1 / (p - 1) ** 2) for p in small[1:]]
+    logs += [-(2**n - 2) / n * _prime_zeta_tail(n, small) for n in range(2, 9)]
+    assert abs(math.exp(math.fsum(logs)) - lf.C2) <= 1e-13 * lf.C2
+    # A: the direct product up to 10^6, whose tail is below 4e-14
+    logs = [math.log1p(-1 / ((p - 1) ** 2 * (p + 1))) for p in _primes(10**6)]
+    assert abs(math.exp(math.fsum(logs)) - lf.A) <= 1e-13 * lf.A
 
 
 def test_tail_bound_brackets_refinement():
+    # the oracle's own bound: refining the cutoff moves the product by less than it
     for m, k in [(1, 1), (2, 3), (5, 4), (1, 30), (6, 6)]:
-        coarse = lf.k_of_group(m, k, cutoff=1000)
-        fine = lf.k_of_group(m, k, cutoff=10000)
-        assert abs(fine.truncated_value - coarse.truncated_value) < coarse.tail_bound
-    coarse = lf.k_of_order(36, cutoff=1000)
-    fine = lf.k_of_order(36, cutoff=10000)
-    assert abs(fine.truncated_value - coarse.truncated_value) < coarse.tail_bound
+        coarse = _eager_product(lambda ell: lf.group_factor(m, k, ell), m * m * k, 1000)
+        fine = _eager_product(lambda ell: lf.group_factor(m, k, ell), m * m * k, 10000)
+        assert _within_tail_bound(fine, coarse, 1000), (m, k)
+    coarse = _eager_product(lambda ell: lf.order_factor(36, ell), 36, 1000)
+    fine = _eager_product(lambda ell: lf.order_factor(36, ell), 36, 10000)
+    assert _within_tail_bound(fine, coarse, 1000)
 
 
 def test_k_positive_and_bounded():
     for m in range(1, 8):
         for k in range(1, 12):
-            t = lf.k_of_group(m, k, cutoff=1000)
-            assert 0 < t.truncated_value < 3
+            assert 0 < lf.k_of_group(m, k) < 3
 
 
 def test_main_term_examples():
     with pytest.raises(ValueError):
-        lf.conjectural_main_term(1, 1)
-    value, tail = lf.conjectural_main_term(1, 2, cutoff=1000)
-    t = lf.k_of_group(1, 2, cutoff=1000)
-    want = t.truncated_value * 4 / (lf.aut_order(1, 2) * math.log(2))
+        lf.main_term(1, 1, lf.k_of_group(1, 1))
+    value = lf.main_term(2, lf.aut_order(1, 2), lf.k_of_group(1, 2))
+    want = lf.k_of_group(1, 2) * 4 / (lf.aut_order(1, 2) * math.log(2))
     assert abs(value - want) < 1e-12
-    assert tail > 0
     # the conjectural term stays positive for shapes the census never sees
-    value, _ = lf.conjectural_main_term(11, 1, cutoff=1000)
-    assert value > 0
+    assert lf.main_term(121, lf.aut_order(11, 1), lf.k_of_group(11, 1)) > 0
 
 
 def test_main_term_is_the_printed_float():
@@ -139,10 +234,9 @@ def test_main_term_is_the_printed_float():
             n = m * m * k
             if n < 2:
                 continue
-            value, _ = lf.conjectural_main_term(m, k, cutoff=1000)
-            t = lf.k_of_group(m, k, cutoff=1000)
-            printed = t.truncated_value * n * n / (lf.aut_order(m, k) * math.log(n))
-            assert value == printed, (m, k)
+            aut, constant = lf.aut_order(m, k), lf.k_of_group(m, k)
+            printed = constant * n * n / (aut * math.log(n))
+            assert lf.main_term(n, aut, constant) == printed, (m, k)
 
 
 def test_t_examples():
