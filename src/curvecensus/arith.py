@@ -4,18 +4,20 @@ Everything here is pure and deterministic: primality uses a fixed
 Miller-Rabin witness set valid for all 64-bit integers, and factorization
 uses trial division followed by Brent's cycle method with a fixed seed
 sequence; it refuses n >= FACTOR_BOUND = 2^64 before any trial division.
-Primes in arithmetic progressions come from a sieve of the progression by
-the base primes up to its square root; is_prime serves single numbers and
-is the sieve's test oracle.  sieving_primes holds those base primes, one
-sieve per bit length of the bound, for primes_in_ap and for the root-count
-sieve of quadforms; primes_up_to sieves afresh on each call, as each of
-its callers asks once per request or keeps its own memo.  square_divisors
-keeps no memo either: factorizing an order of the size the commands use
-takes microseconds.
+Primes in arithmetic progressions come from the base primes: read by
+bisection below 2^12, else by a sieve of the progression up to its square
+root, which proves every survivor; is_prime serves single numbers and is
+the sieve's test oracle.  sieving_primes holds the base primes, one sieve
+per bit length of the bound, for primes_in_ap and for the root-count sieve
+of quadforms; primes_up_to sieves afresh on each call, as each of its
+callers asks once per request or keeps its own memo.  square_divisors keeps
+no memo either: factorizing an order of the size the commands use takes
+microseconds.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -24,6 +26,7 @@ from collections import namedtuple
 # Deterministic for all n < 3.3 * 10^24, in particular all 64-bit inputs.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+_TRIAL_TEST = 2**10  # factorize tests the cofactor left at this trial divisor
 _TRIAL_LIMIT = 10**6
 
 # is_prime is proven below this; factorize refuses n at or above it, and the
@@ -156,17 +159,23 @@ def factorize(n: int) -> Factorization:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    # 2,3,5-wheel trial division up to min(sqrt(n), 10^6).
-    p = 7
+    # 2,3,5-wheel trial division up to min(sqrt(n), 2^10), and on to 10^6 only
+    # for a composite cofactor; once p passes sqrt(n), n is 1 or a prime.
+    p, i = 7, 0
     increments = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while p * p <= n and p <= _TRIAL_LIMIT:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += increments[i]
-        i = (i + 1) % 8
-    if n > 1:
+    for limit in (_TRIAL_TEST, _TRIAL_LIMIT):
+        while p * p <= n and p <= limit:
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+            p += increments[i]
+            i = (i + 1) % 8
+        prime = p * p > n or limit == _TRIAL_TEST and is_prime(n)
+        if prime:
+            break
+    if prime and n > 1:
+        out[n] = 1  # every prime recorded so far is below p <= n
+    elif n > 1:
         stack = [n]
         while stack:
             m = stack.pop()
@@ -260,19 +269,22 @@ def sieving_primes(bound: int) -> tuple[int, ...]:
 def primes_in_ap(lo: int, hi: int, m: int, a: int) -> list[int]:
     """Primes p with lo < p < hi and p == a (mod m), ascending.
 
-    Bounds are strict on both sides; the empty list is a normal result.
-    Sieves the progression by the primes q <= B, taken from
-    sieving_primes(B), one slice assignment per q striking the multiples of
-    q other than q itself, where B is sqrt(hi - 1) or the number of terms,
-    whichever is less.  A survivor below (B + 1)^2 is prime; one above it,
-    left only in a progression with fewer terms than sqrt(hi - 1), is
-    confirmed by is_prime.
+    Bounds are strict on both sides; the empty list is a normal result.  For
+    hi <= 2^12 the primes are read by bisection from sieving_primes(hi).
+    Above, the progression is sieved by the primes q <= B = sqrt(hi - 1), one slice
+    assignment per q striking its multiples other than q, so every survivor
+    is prime; where B passes 32 times the number of terms, B is that number
+    instead, and is_prime confirms the survivors above (B + 1)^2.
     """
     if m < 1:
         raise ValueError(f"primes_in_ap: modulus must be >= 1, got {m}")
     if lo > hi:
         raise ValueError(f"primes_in_ap: lo={lo} exceeds hi={hi}")
     a %= m
+    if hi <= 2**12:
+        primes = sieving_primes(hi)
+        lo, hi = bisect.bisect_right(primes, lo), bisect.bisect_left(primes, hi)
+        return [p for p in primes[lo:hi] if p % m == a]
     lo = max(lo, 1)
     g = math.gcd(a, m)
     if g > 1:
@@ -282,7 +294,8 @@ def primes_in_ap(lo: int, hi: int, m: int, a: int) -> list[int]:
     count = len(range(start, hi, m))
     if not count:
         return []
-    bound = min(math.isqrt(hi - 1), count)
+    root = math.isqrt(hi - 1)
+    bound = root if root <= 32 * count else count  # past count, a q strikes one term at most
     alive = bytearray([1]) * count
     for q in sieving_primes(bound):
         if q > bound:

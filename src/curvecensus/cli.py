@@ -48,8 +48,7 @@ def _fmt_float(x: float) -> str:
 
 
 def _fmt_frac(x: Fraction | int) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    return f"{x.numerator}/{x.denominator}"  # an int is n/1
 
 
 def _emit(args, columns: list[str], rows: list[list],

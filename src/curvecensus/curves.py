@@ -8,8 +8,8 @@ discriminant d(p) = ((p-1)/m - mk)^2 - 4k, and the count by order alone is
 H((p-1-N)^2 - 4N).  Weighted means each isomorphism class counts 1/#Aut.
 The window integers are exactly those with |p - 1 - N| <= isqrt(4N - 1), so
 the primes 1 mod m among them come from one sieve of that range, memoized
-per (N, m) for the other callers of the same order; window sums add the
-integers 12 H_k(d) and divide by 12 once.
+per (N, m) for the other callers of the same order; a window sum hands its
+d(p) to one class_number_twelfths_sum call and divides by 12 once.
 
 brute_force_tally is the independent oracle: it enumerates Weierstrass
 equations over F_p, counts points directly, reads off the group shape from
@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from .arith import (FACTOR_BOUND, euler_phi, factorize, is_prime, mobius, primes_in_ap,
                     square_divisors)
-from .quadforms import CLASS_SCAN_CAP, class_number_twelfths
+from .quadforms import CLASS_SCAN_CAP, class_number_twelfths, class_number_twelfths_sum
 
 ORDER_BOUND = 2**40
 # candidates in the whole Hasse window of ORDER_BOUND, the widest scan allowed
@@ -115,11 +115,11 @@ def require_scannable(k: int) -> None:
 
 def m_of_group(m: int, k: int) -> Fraction:
     """Weighted count over all primes: sum of m_p_of_group over the window."""
-    return _window_sum(m, k, k)
+    return Fraction(class_number_twelfths_sum(_window_discriminants(m, k), k), 12)
 
 
-def _window_sum(m: int, k: int, restriction: int) -> Fraction:
-    """Sum of H_restriction(d(p)) over the window primes p = 1 (mod m) of m^2 k.
+def _window_discriminants(m: int, k: int) -> list[int]:
+    """d(p) for the window primes p = 1 (mod m) of m^2 k, ascending in p.
 
     The shape, then both bounds are checked before any candidate is tested:
     the window scan (OverflowError), then the class-number scan cap
@@ -129,10 +129,7 @@ def _window_sum(m: int, k: int, restriction: int) -> Fraction:
     n = m * m * k
     _window_range(n, m)
     require_scannable(k)
-    # every window prime is 1 mod m, so d(p) needs no checks here
-    twelfths = sum(class_number_twelfths(((p - 1) // m - m * k) ** 2 - 4 * k, restriction)
-                   for p in window_primes_in_class(n, m))
-    return Fraction(twelfths, 12)
+    return [((p - 1) // m - m * k) ** 2 - 4 * k for p in window_primes_in_class(n, m)]
 
 
 def _window_range(n: int, m: int) -> tuple[int, int]:
@@ -183,18 +180,7 @@ def m_of_order_by_primes(n: int) -> Fraction:
     window sum of the shape (1, n), whose d(p) = (p-1-n)^2 - 4n, unrestricted."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    return _window_sum(1, n, 1)
-
-
-def _sum_twelfths(counts) -> Fraction:
-    """Sum of weighted counts, each a multiple of 1/12, added as integer twelfths."""
-    return Fraction(sum(c.numerator * (12 // c.denominator) for c in counts), 12)
-
-
-def m_of_order_routes(n: int) -> tuple[Fraction, Fraction]:
-    """M(n) two ways: summed over window primes, and over group shapes."""
-    by_primes = m_of_order_by_primes(n)
-    return by_primes, _sum_twelfths(m_of_group(m, k) for m, k in order_decomposition(n))
+    return Fraction(class_number_twelfths_sum(_window_discriminants(1, n), 1), 12)
 
 
 def order_decomposition(n: int) -> list[tuple[int, int]]:
@@ -202,20 +188,38 @@ def order_decomposition(n: int) -> list[tuple[int, int]]:
     return [(m, n // (m * m)) for m in square_divisors(n)]
 
 
+def _order_routes(n: int) -> tuple[Fraction, Fraction, list[tuple[int, int, int]]]:
+    """M(n) by window primes, M(n) by shapes, and the terms (m, k, 12 M(Z/m x Z/mk)).
+
+    The sum over window primes comes first, so it refuses an n above the scan
+    cap.  The shapes take one pass over the window of n: a window prime p is
+    1 mod m exactly when m^2 | d(p), as m^2 | 4n, so the shape (m, k) sums
+    12 H_k(d(p)/m^2).
+    """
+    by_primes = m_of_order_by_primes(n)
+    ds = _window_discriminants(1, n)
+    terms = [(m, k, class_number_twelfths_sum([d // (m * m) for d in ds if d % (m * m) == 0], k))
+             for m, k in order_decomposition(n)]
+    return by_primes, Fraction(sum(t for _, _, t in terms), 12), terms
+
+
+def m_of_order_routes(n: int) -> tuple[Fraction, Fraction]:
+    """M(n) two ways: summed over window primes, and over group shapes."""
+    return _order_routes(n)[:2]
+
+
 def m_of_order_terms(n: int) -> tuple[Fraction, list[tuple[int, int, Fraction]]]:
     """M(n) and its shape terms (m, k, M(Z/m x Z/mk)), ascending in m.
 
-    The sum over window primes comes first (it refuses an n above the scan
-    cap), and the terms must add up to it: ConsistencyError otherwise.
+    The terms must add up to the sum over window primes: ConsistencyError
+    otherwise.
     """
-    by_primes = m_of_order_by_primes(n)
-    terms = [(m, k, m_of_group(m, k)) for m, k in order_decomposition(n)]
-    by_shapes = _sum_twelfths(t for _, _, t in terms)
+    by_primes, by_shapes, terms = _order_routes(n)
     if by_primes != by_shapes:
         raise ConsistencyError(
             f"M({n}) routes disagree: {by_primes} by primes, {by_shapes} by shapes"
         )
-    return by_primes, terms
+    return by_primes, [(m, k, Fraction(t, 12)) for m, k, t in terms]
 
 
 def m_of_order(n: int) -> Fraction:

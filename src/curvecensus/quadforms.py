@@ -5,9 +5,9 @@ number of primitive reduced forms (a, b, c) with b^2 - 4ac = d, and unit
 count w(d) = 6, 4, 2 for d = -3, -4, anything else.  The weighted class
 number H(D) sums h(D/f^2)/w(D/f^2) over all f with f^2 | D and D/f^2 still a
 discriminant; H_k(D) additionally requires gcd(f, k) = 1, so H_|D|(D) is
-h(D)/w(D).  Every w divides 12, so class_number_twelfths returns the
-integer 12 H_k(D), the one class-number entry point: window sums add these
-integers and divide by 12 once.  H_k(D) is also
+h(D)/w(D).  Every w divides 12, so class_number_twelfths_sum returns the
+integer sum of 12 H_k(d) over a list of discriminants, the one class-number
+route, of which class_number_twelfths is the case of one d.  H_k(D) is also
 computable in a single pass over all reduced forms of discriminant D
 (imprimitive ones included), weighting a form of content f by 1/4 when it is
 f*(x^2 + y^2), by 1/6 when it is f*(x^2 + xy + y^2), and by 1/2 otherwise;
@@ -27,12 +27,11 @@ independent walk behind the weighted route.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .arith import factorize, kronecker, sieving_primes
+from .arith import kronecker, sieving_primes
 
 
 class LSeriesValue(NamedTuple):
@@ -98,7 +97,10 @@ def _root_counts(d: int, top: int) -> list[int]:
         r = d % ell
         if r and ell > 2:
             # (d/ell) = 1: two roots mod every power of ell; -1: none
-            if pow(r, ell >> 1, ell) == 1:
+            two = pow(r, ell >> 1, ell) == 1
+            if 2 * ell > top:
+                g[ell] = 2 * two  # ell is its own only multiple up to top
+            elif two:
                 g[ell::ell] = [v + v for v in g[ell::ell]]
             else:
                 g[ell::ell] = [0] * (top // ell)
@@ -163,42 +165,47 @@ def _twelfths(d: int) -> int:
     return hit
 
 
-@functools.lru_cache(maxsize=128)
-def _prime_divisors(r: int) -> tuple[int, ...]:
-    # r = gcd(k, d) divides k, so a window sum at one k meets few values of r
-    return tuple(p for p, _ in factorize(r).factors)
+def class_number_twelfths_sum(discriminants: Iterable[int], k: int) -> int:
+    """The sum of 12 H_k(d) over the discriminants d, an integer.
+
+    The whole list is checked first: the first bad d raises what
+    class_number_twelfths(d, k) raises.  12 H_k(d) is the sum of mu(g)
+    12 H(d/g^2) over the squarefree g | k with d/g^2 a discriminant, so only
+    the d with gcd(d, k) > 1 add more than their memo entry; the primes of k
+    that can matter are found once per call.
+    """
+    ds = list(discriminants)  # read more than once below
+    # d & 2 is set exactly when d = 2, 3 (mod 4)
+    if k < 1 or [d for d in ds if not -CLASS_SCAN_CAP < d < 0 or d & 2]:
+        for d in ds:
+            _require_discriminant(d)
+            if k < 1:
+                raise ValueError(f"restriction parameter must be >= 1, got {k}")
+            if -d >= CLASS_SCAN_CAP:
+                raise ValueError(
+                    f"class-number scan of |d| = {-d} reaches the cap {CLASS_SCAN_CAP}")
+    get = _cache.get
+    # 12 H(d) > 0, so only a memo miss reads as false
+    total = sum([get(d) or _twelfths(d) for d in ds])
+    if k > 1 and ds:
+        # (mu(g) g, the d with g^2 | d) for each squarefree g | k that has such d,
+        # from the primes p | k with p^2 <= |d|
+        levels = [(1, ds)]
+        for p in sieving_primes(math.isqrt(-min(ds))):
+            if k % p == 0:
+                pp = p * p
+                levels += [(-p * g, sub) for g, dd in levels
+                           if (sub := [d for d in dd if d % pp == 0])]
+        for g, dd in levels[1:]:
+            gg = g * g
+            part = sum([get(d0) or _twelfths(d0) for d in dd if (d0 := d // gg) % 4 < 2])
+            total += part if g > 0 else -part
+    return total
 
 
 def class_number_twelfths(d: int, k: int) -> int:
-    """12 H_k(d), an integer: each w(d/f^2) in {2, 4, 6} divides 12.
-
-    By Moebius inversion over the levels, 12 H_k(d) is the sum of
-    mu(g) 12 H(d/g^2) over the squarefree g | k with d/g^2 a discriminant,
-    so k = 1 is one memo lookup; the g come from the primes of gcd(k, d),
-    which a small memo keeps.  Window sums add these and divide by 12
-    once, instead of adding Fractions.  |d| at or above CLASS_SCAN_CAP
-    raises ValueError before any count.
-    """
-    _require_discriminant(d)
-    if k < 1:
-        raise ValueError(f"restriction parameter must be >= 1, got {k}")
-    if -d >= CLASS_SCAN_CAP:
-        raise ValueError(f"class-number scan of |d| = {-d} reaches the cap {CLASS_SCAN_CAP}")
-    total = _cache.get(d)
-    if total is None:
-        total = _twelfths(d)
-    r = math.gcd(k, d)
-    if r > 1:
-        # mu(g) g for each squarefree g | k with g^2 | d
-        signed = [1]
-        for p in _prime_divisors(r):
-            if d % (p * p) == 0:
-                signed += [-p * g for g in signed]
-        for g in signed[1:]:
-            d0 = d // (g * g)
-            if d0 % 4 in (0, 1):
-                total += _twelfths(d0) if g > 0 else -_twelfths(d0)
-    return total
+    """12 H_k(d), an integer, as each w(d/f^2) in {2, 4, 6} divides 12."""
+    return class_number_twelfths_sum((d,), k)
 
 
 def kronecker_class_number_weighted(d: int, k: int) -> Fraction:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -234,6 +235,57 @@ def test_primes_in_ap_large_slices():
     cases += [(10**10 - 10**5, 10**10 + 10**5, m, 1) for m in (1, 2)]
     for lo, hi, m, a in cases:
         assert arith.primes_in_ap(lo, hi, m, a) == _primes_in_ap_by_scan(lo, hi, m, a), (lo, m, a)
+
+
+def test_primes_in_ap_on_both_sides_of_the_bisection_bound(monkeypatch):
+    # ranges that end at or below 2^12 are read from the base primes, wider ones sieved
+    cases = [(lo, hi, m, a) for m in range(1, 61) for a in (1, m - 1, 2)
+             for lo, hi in ((3000, 2**12), (3000, 2**12 + 1), (2**12 - 100, 2**12 + 900),
+                            (-1, 2**12), (0, 5000), (4000, 9000))]
+    for lo, hi, m, a in cases:
+        assert arith.primes_in_ap(lo, hi, m, a) == _primes_in_ap_by_scan(lo, hi, m, a), (lo, hi, m, a)
+    arith.sieving_primes(2**12)
+
+    def refuse(*args):
+        raise AssertionError("a range below 2^12 was sieved")
+
+    monkeypatch.setattr(arith, "bytearray", refuse, raising=False)
+    for lo, hi, m, a in cases:
+        if hi <= 2**12:
+            assert arith.primes_in_ap(lo, hi, m, a) == _primes_in_ap_by_scan(lo, hi, m, a)
+
+
+def test_primes_in_ap_sieve_proves_its_survivors(monkeypatch):
+    # where sqrt(hi - 1) is within 32 times the number of terms, no survivor is left to
+    # Miller-Rabin; a sparser progression hands is_prime its few survivors above (B + 1)^2
+    calls = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
+    r = math.isqrt(4 * 10**6 - 1)
+    for m in (1, 2, 10, 30, 60):
+        arith.primes_in_ap(10**6 - r, 10**6 + 2 + r, m, 1)
+    assert calls == []
+    lo, hi = 10**10 - 10**5, 10**10 + 10**5
+    assert arith.primes_in_ap(lo, hi, 10**4, 1) == _primes_in_ap_by_scan(lo, hi, 10**4, 1)
+    assert calls
+
+
+def test_factorize_tests_a_large_cofactor_before_trial_division():
+    # a prime near 10^12 used to be trial-divided up to 10^6, about 60 ms each
+    primes = []
+    n = 10**12
+    while len(primes) < 10:
+        n += 1
+        if arith.is_prime(n):
+            primes.append(n)
+    t0 = time.perf_counter()
+    facs = [arith.factorize(p) for p in primes]
+    elapsed = time.perf_counter() - t0
+    assert [f.factors for f in facs] == [((p, 1),) for p in primes]
+    assert elapsed < 0.1, elapsed
+    # a composite cofactor still goes on to trial division and rho
+    assert arith.factorize(1009 * (10**12 + 39)).factors == ((1009, 1), (10**12 + 39, 1))
+    assert arith.factorize(1000003 * 1000033 * 7).factors == ((7, 1), (1000003, 1), (1000033, 1))
 
 
 def test_primes_in_ap_rejects_bad_input():

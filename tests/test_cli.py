@@ -10,7 +10,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from curvecensus import cli, curves, localfactors, quadforms
+from curvecensus import arith, cli, curves, localfactors, quadforms
 
 
 def run_cli(capsys, args):
@@ -80,6 +80,9 @@ PINNED_STDOUT = [
      "58a506abefbba79912b61edf29781d62d1eb0ccc6532e7a1a647563a95b9e99d"),
     (["grid", "--mmax", "3", "--kmax", "40"],
      "c0194874ce58903bffab59e11d3ad21702fb1c16cc3994d097c20428582365ba"),
+    # printed before each window sum made one class-number call
+    (["--format", "json", "verify", "identity", "--nmax", "1200"],
+     "acb5c96e0731183de388952c64ad6d81b512e190fc1ccf588ecc3c64210a1a12"),
 ]
 
 
@@ -502,6 +505,17 @@ def test_closed_stdout_is_one_usage_error():
                           stderr=subprocess.PIPE, text=True)
     assert proc.returncode == cli.USAGE_ERROR, proc.stderr
     assert proc.stderr == "error: cannot write stdout: Bad file descriptor\n"
+
+
+def test_verify_identity_makes_no_primality_test(capsys, monkeypatch):
+    # every window below 2^12 is read from the base primes, and factorize proves its
+    # cofactors by trial division, so no Miller-Rabin test runs
+    calls = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
+    code, _ = run_cli(capsys, ["--format", "json", "verify", "identity", "--nmax", "1200"])
+    assert code == 0
+    assert calls == []
 
 
 def test_mn_route_disagreement_exits_1(capsys, monkeypatch):

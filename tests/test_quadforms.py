@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from curvecensus import quadforms
+from curvecensus import curves, quadforms
 from curvecensus.quadforms import (
     class_number_twelfths,
+    class_number_twelfths_sum,
     kronecker_class_number_weighted,
     l_value_exact,
     l_value_series,
@@ -181,6 +182,51 @@ def test_twelfths_with_many_primes_in_the_restriction():
             continue
         for k in (30, 60, 210, 420, 864):
             assert class_number_twelfths(d, k) == 12 * kronecker_class_number_weighted(d, k), (d, k)
+
+
+def _window_discriminants(m, k):
+    n = m * m * k
+    return [curves.trace_discriminant(m, k, p) for p in curves.window_primes_in_class(n, m)]
+
+
+def test_twelfths_sum_matches_the_weighted_walk_over_windows():
+    # window lists where k shares a square with d: k even with d = 0 mod 4, and
+    # k divisible by the square of an odd q
+    cases = [(1, k) for k in (1, 2, 4, 8, 12, 16, 18, 36, 45, 50, 72, 75, 98, 99, 100, 225)]
+    cases += [(m, k) for m in (2, 3, 5) for k in (1, 2, 4, 9, 12, 25, 36)]
+    for m, k in cases:
+        ds = _window_discriminants(m, k)
+        assert any(math.gcd(d, k) > 1 for d in ds) or k == 1
+        want = sum(12 * kronecker_class_number_weighted(d, k) for d in ds)
+        assert class_number_twelfths_sum(ds, k) == want, (m, k)
+        for r in (1, 3, 4, 9, 2 * k):
+            want = sum(12 * kronecker_class_number_weighted(d, r) for d in ds)
+            assert class_number_twelfths_sum(ds, r) == want, (m, k, r)
+    # the shared squares the cases above must meet
+    assert any(d % 4 == 0 for d in _window_discriminants(1, 16))
+    assert any(d % 9 == 0 for d in _window_discriminants(1, 45))
+    assert class_number_twelfths_sum([], 5) == 0
+    ds = _window_discriminants(1, 36)
+    assert class_number_twelfths_sum(iter(ds), 36) == class_number_twelfths_sum(ds, 36) > 0
+
+
+def test_twelfths_sum_checks_the_whole_list_first():
+    cached = dict(quadforms._cache)
+    quadforms._cache.clear()
+    try:
+        for ds, k, message in [([-3, -5, -4], 1, "not a negative discriminant"),
+                               ([-3, 4], 1, "not a negative discriminant"),
+                               ([-4, -3], 0, "restriction parameter must be >= 1, got 0"),
+                               ([-3, -quadforms.CLASS_SCAN_CAP, -7], 1, "reaches the cap"),
+                               ([-quadforms.CLASS_SCAN_CAP, -5], 1, "reaches the cap")]:
+            with pytest.raises(ValueError, match=message):
+                class_number_twelfths_sum(ds, k)
+            assert quadforms._cache == {}, ds
+        # the first bad d names the error, as class_number_twelfths(d, k) would
+        with pytest.raises(ValueError, match="-5 is not"):
+            class_number_twelfths_sum([-4, -5, -2**30], 1)
+    finally:
+        quadforms._cache.update(cached)
 
 
 def test_twelfths_reject_bad_input():
