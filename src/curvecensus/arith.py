@@ -5,13 +5,13 @@ Miller-Rabin witness set valid for all 64-bit integers, and factorization
 uses trial division followed by Brent's cycle method with a fixed seed
 sequence; it refuses n >= FACTOR_BOUND = 2^64 before any trial division.
 Primes in arithmetic progressions come from the base primes: read by
-bisection below 2^12, else by a sieve of the progression up to its square
-root, which proves every survivor; is_prime serves single numbers and is
-the sieve's test oracle.  sieving_primes holds the base primes, one sieve
-per bit length of the bound, for primes_in_ap and for the root-count sieve
-of quadforms; primes_up_to sieves afresh on each call, as each of its
-callers asks once per request or keeps its own memo.  square_divisors keeps
-no memo either: factorizing an order of the size the commands use takes
+bisection below 2^12, else by a sieve of the progression by the base primes
+up to its square root; is_prime serves single numbers and is the sieve's
+test oracle.  sieving_primes holds the base primes, one sieve per bit
+length of the bound, for primes_in_ap and for the root-count sieve of
+quadforms; primes_up_to sieves afresh on each call, as each of its callers
+asks once per request or keeps its own memo.  square_divisors keeps no memo
+either: factorizing an order of the size the commands use takes
 microseconds.
 """
 
@@ -271,10 +271,12 @@ def primes_in_ap(lo: int, hi: int, m: int, a: int) -> list[int]:
 
     Bounds are strict on both sides; the empty list is a normal result.  For
     hi <= 2^12 the primes are read by bisection from sieving_primes(hi).
-    Above, the progression is sieved by the primes q <= B = sqrt(hi - 1), one slice
-    assignment per q striking its multiples other than q, so every survivor
-    is prime; where B passes 32 times the number of terms, B is that number
-    instead, and is_prime confirms the survivors above (B + 1)^2.
+    Above, the progression is sieved by the primes q <= B, taken from
+    sieving_primes(B), one slice assignment per q striking the multiples of
+    q other than q itself, where B is sqrt(hi - 1) or the number of terms,
+    whichever is less.  A survivor below (B + 1)^2 is prime; one above it,
+    left only in a progression with fewer terms than sqrt(hi - 1), is
+    confirmed by is_prime.
     """
     if m < 1:
         raise ValueError(f"primes_in_ap: modulus must be >= 1, got {m}")
@@ -294,8 +296,7 @@ def primes_in_ap(lo: int, hi: int, m: int, a: int) -> list[int]:
     count = len(range(start, hi, m))
     if not count:
         return []
-    root = math.isqrt(hi - 1)
-    bound = root if root <= 32 * count else count  # past count, a q strikes one term at most
+    bound = min(math.isqrt(hi - 1), count)
     alive = bytearray([1]) * count
     for q in sieving_primes(bound):
         if q > bound:

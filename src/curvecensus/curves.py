@@ -115,11 +115,11 @@ def require_scannable(k: int) -> None:
 
 def m_of_group(m: int, k: int) -> Fraction:
     """Weighted count over all primes: sum of m_p_of_group over the window."""
-    return Fraction(class_number_twelfths_sum(_window_discriminants(m, k), k), 12)
+    return Fraction(_window_sum(m, k, k), 12)
 
 
-def _window_discriminants(m: int, k: int) -> list[int]:
-    """d(p) for the window primes p = 1 (mod m) of m^2 k, ascending in p.
+def _window_sum(m: int, k: int, restriction: int) -> int:
+    """Sum of 12 H_restriction(d(p)) over the window primes p = 1 (mod m) of m^2 k.
 
     The shape, then both bounds are checked before any candidate is tested:
     the window scan (OverflowError), then the class-number scan cap
@@ -129,7 +129,9 @@ def _window_discriminants(m: int, k: int) -> list[int]:
     n = m * m * k
     _window_range(n, m)
     require_scannable(k)
-    return [((p - 1) // m - m * k) ** 2 - 4 * k for p in window_primes_in_class(n, m)]
+    # every window prime is 1 mod m, so each d(p) is a discriminant
+    return class_number_twelfths_sum(
+        [((p - 1) // m - m * k) ** 2 - 4 * k for p in window_primes_in_class(n, m)], restriction)
 
 
 def _window_range(n: int, m: int) -> tuple[int, int]:
@@ -180,7 +182,7 @@ def m_of_order_by_primes(n: int) -> Fraction:
     window sum of the shape (1, n), whose d(p) = (p-1-n)^2 - 4n, unrestricted."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    return Fraction(class_number_twelfths_sum(_window_discriminants(1, n), 1), 12)
+    return Fraction(_window_sum(1, n, 1), 12)
 
 
 def order_decomposition(n: int) -> list[tuple[int, int]]:
@@ -192,14 +194,10 @@ def _order_routes(n: int) -> tuple[Fraction, Fraction, list[tuple[int, int, int]
     """M(n) by window primes, M(n) by shapes, and the terms (m, k, 12 M(Z/m x Z/mk)).
 
     The sum over window primes comes first, so it refuses an n above the scan
-    cap.  The shapes take one pass over the window of n: a window prime p is
-    1 mod m exactly when m^2 | d(p), as m^2 | 4n, so the shape (m, k) sums
-    12 H_k(d(p)/m^2).
+    cap; each shape term is the window sum that m_of_group divides by 12.
     """
     by_primes = m_of_order_by_primes(n)
-    ds = _window_discriminants(1, n)
-    terms = [(m, k, class_number_twelfths_sum([d // (m * m) for d in ds if d % (m * m) == 0], k))
-             for m, k in order_decomposition(n)]
+    terms = [(m, k, _window_sum(m, k, k)) for m, k in order_decomposition(n)]
     return by_primes, Fraction(sum(t for _, _, t in terms), 12), terms
 
 

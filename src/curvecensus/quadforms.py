@@ -46,9 +46,11 @@ CLASS_SCAN_CAP = 2**26
 _cache: dict[int, int] = {}
 
 
-def _require_discriminant(d: int) -> None:
+def _require_discriminant(d: int, k: int = 1) -> None:
     if d >= 0 or d % 4 not in (0, 1):
         raise ValueError(f"{d} is not a negative discriminant (need d < 0, d = 0,1 mod 4)")
+    if k < 1:
+        raise ValueError(f"restriction parameter must be >= 1, got {k}")
 
 
 def reduced_forms(d: int) -> Iterator[tuple[int, int, int]]:
@@ -169,24 +171,24 @@ def class_number_twelfths_sum(discriminants: Iterable[int], k: int) -> int:
     """The sum of 12 H_k(d) over the discriminants d, an integer.
 
     The whole list is checked first: the first bad d raises what
-    class_number_twelfths(d, k) raises.  12 H_k(d) is the sum of mu(g)
-    12 H(d/g^2) over the squarefree g | k with d/g^2 a discriminant, so only
-    the d with gcd(d, k) > 1 add more than their memo entry; the primes of k
-    that can matter are found once per call.
+    class_number_twelfths(d, k) raises, and k < 1 raises for an empty list
+    too.  12 H_k(d) is the sum of mu(g) 12 H(d/g^2) over the squarefree
+    g | k with d/g^2 a discriminant, so only the d with gcd(d, k) > 1 add
+    more than their memo entry; the primes of k are found once per call.
     """
     ds = list(discriminants)  # read more than once below
-    # d & 2 is set exactly when d = 2, 3 (mod 4)
-    if k < 1 or [d for d in ds if not -CLASS_SCAN_CAP < d < 0 or d & 2]:
-        for d in ds:
-            _require_discriminant(d)
-            if k < 1:
-                raise ValueError(f"restriction parameter must be >= 1, got {k}")
+    get = _cache.get
+    twelfths = [get(d) for d in ds]
+    if k < 1 or None in twelfths:
+        # the memo keeps only the d that passed these checks, so a hit needs
+        # none; with k < 1 the first d fails, and -3 stands in for an empty list
+        for d in [d for d, t in zip(ds, twelfths) if t is None or k < 1] or [-3]:
+            _require_discriminant(d, k)
             if -d >= CLASS_SCAN_CAP:
                 raise ValueError(
                     f"class-number scan of |d| = {-d} reaches the cap {CLASS_SCAN_CAP}")
-    get = _cache.get
-    # 12 H(d) > 0, so only a memo miss reads as false
-    total = sum([get(d) or _twelfths(d) for d in ds])
+        twelfths = [t or _twelfths(d) for d, t in zip(ds, twelfths)]
+    total = sum(twelfths)
     if k > 1 and ds:
         # (mu(g) g, the d with g^2 | d) for each squarefree g | k that has such d,
         # from the primes p | k with p^2 <= |d|
@@ -215,9 +217,7 @@ def kronecker_class_number_weighted(d: int, k: int) -> Fraction:
     d once, skips contents sharing a factor with k, and weights by the shape
     of the underlying primitive form.
     """
-    _require_discriminant(d)
-    if k < 1:
-        raise ValueError(f"restriction parameter must be >= 1, got {k}")
+    _require_discriminant(d, k)
     total = Fraction(0)
     for a, b, c in reduced_forms(d):
         f = math.gcd(math.gcd(a, b), c)

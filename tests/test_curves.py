@@ -197,6 +197,19 @@ def test_m_of_order_routes_match_the_fraction_sum():
         assert m_of_order_routes(n) == (want, want), n
 
 
+def test_shape_route_sums_the_window_of_each_shape(monkeypatch):
+    # the routes check the values mg prints: each shape term comes from the
+    # primes 1 mod m of its own window, not from a rearranged window of n
+    asked = []
+    real = curves.window_primes_in_class
+    monkeypatch.setattr(curves, "window_primes_in_class",
+                        lambda n, m: asked.append((n, m)) or real(n, m))
+    for n in (1, 36, 1000, 4900):
+        asked.clear()
+        m_of_order_routes(n)
+        assert sorted(set(asked)) == [(n, m) for m, _ in curves.order_decomposition(n)], n
+
+
 def test_inclusion_exclusion_examples():
     assert inclusion_exclusion_check(1, 4, 3) == Fraction(1, 2)
     assert m_p_of_group(1, 4, 3) == Fraction(1, 2)

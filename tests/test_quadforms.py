@@ -218,13 +218,21 @@ def test_twelfths_sum_checks_the_whole_list_first():
                                ([-3, 4], 1, "not a negative discriminant"),
                                ([-4, -3], 0, "restriction parameter must be >= 1, got 0"),
                                ([-3, -quadforms.CLASS_SCAN_CAP, -7], 1, "reaches the cap"),
-                               ([-quadforms.CLASS_SCAN_CAP, -5], 1, "reaches the cap")]:
+                               ([-quadforms.CLASS_SCAN_CAP, -5], 1, "reaches the cap"),
+                               ([], 0, "restriction parameter must be >= 1, got 0")]:
             with pytest.raises(ValueError, match=message):
                 class_number_twelfths_sum(ds, k)
             assert quadforms._cache == {}, ds
         # the first bad d names the error, as class_number_twelfths(d, k) would
         with pytest.raises(ValueError, match="-5 is not"):
             class_number_twelfths_sum([-4, -5, -2**30], 1)
+        # memo hits need no check, but a bad d after them is still refused
+        assert class_number_twelfths_sum([-3, -4], 1) == 2 + 3
+        for ds, k, message in [([-3, -4, -5], 1, "-5 is not"), ([-3, -4], 0, "got 0"),
+                               ([-4, -3, -quadforms.CLASS_SCAN_CAP], 2, "reaches the cap")]:
+            with pytest.raises(ValueError, match=message):
+                class_number_twelfths_sum(ds, k)
+        assert set(quadforms._cache) == {-3, -4}
     finally:
         quadforms._cache.update(cached)
 
