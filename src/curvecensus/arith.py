@@ -4,6 +4,10 @@ Everything here is pure and deterministic: primality uses a fixed
 Miller-Rabin witness set valid for all 64-bit integers, and factorization
 uses trial division followed by Brent's cycle method with a fixed seed
 sequence; it refuses n >= FACTOR_BOUND = 2^64 before any trial division.
+The require_* functions are the package's argument checks, one per kind:
+each refuses a bool, a non-int or an int out of range with a one-line
+ValueError.  Entry points call them up front; kronecker, is_prime and
+valuation, the hot leaves, check inline.
 Primes in arithmetic progressions come from the base primes: read by
 bisection below 2^12, else by a sieve of the progression by the base primes
 up to its square root; is_prime serves single numbers and is the sieve's
@@ -35,6 +39,33 @@ FACTOR_BOUND = 2**64
 
 # Largest sieve bound (a 64 MiB bytearray), the same figure as quadforms.CLASS_SCAN_CAP.
 SIEVE_CAP = 2**26
+
+
+def require_int(value: int, lo: int, name: str) -> None:
+    """Refuse anything but an int >= lo; a bool is not an int here."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+
+
+def require_prime(p: int) -> None:
+    """Refuse anything but a prime int."""
+    if type(p) is not int or not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
+def require_shape(m: int, k: int) -> None:
+    """Refuse a group shape (m, k) unless m and k are ints >= 1."""
+    if type(m) is not int or type(k) is not int or m < 1 or k < 1:
+        raise ValueError(f"invalid shape ({m}, {k})")
+
+
+def require_torsion(n: int, nt: int) -> None:
+    """Refuse an order n and a torsion level nt unless both are ints >= 1 with nt^2 | n."""
+    require_int(n, 1, "order")
+    if type(nt) is not int or nt < 1 or n % (nt * nt):
+        raise ValueError(f"torsion level {nt} must satisfy nt^2 | {n}")
 
 
 def kronecker(a: int, n: int) -> int:
@@ -69,6 +100,8 @@ def kronecker(a: int, n: int) -> int:
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (valid for all 64-bit n)."""
+    if type(n) is not int:
+        raise ValueError(f"is_prime: n must be an int, got {n!r}")
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -101,10 +134,12 @@ class Factorization(namedtuple("Factorization", "value factors")):
     __slots__ = ()
 
     def __new__(cls, value: int, factors: tuple[tuple[int, int], ...]):
+        if type(value) is not int or type(factors) is not tuple:
+            raise ValueError(f"malformed factorization of {value!r}")
         prod = 1
         last = 1
         for p, e in factors:
-            if p <= last or e < 1:
+            if type(p) is not int or type(e) is not int or p <= last or e < 1:
                 raise ValueError(f"malformed factorization of {value}")
             last = p
             prod *= p**e
@@ -149,8 +184,7 @@ def _brent_rho(n: int) -> int:
 
 def factorize(n: int) -> Factorization:
     """Complete factorization of 1 <= n < FACTOR_BOUND, deterministic."""
-    if n < 1:
-        raise ValueError(f"factorize: n must be >= 1, got {n}")
+    require_int(n, 1, "factorize: n")
     if n >= FACTOR_BOUND:
         raise ValueError(f"factorize: {n} is not below 2^64")
     value = n
@@ -190,8 +224,7 @@ def factorize(n: int) -> Factorization:
 
 def euler_phi(n: int) -> int:
     """Euler totient."""
-    if n < 1:
-        raise ValueError(f"euler_phi: n must be >= 1, got {n}")
+    require_int(n, 1, "euler_phi: n")
     out = n
     for p, _ in factorize(n).factors:
         out = out // p * (p - 1)
@@ -200,8 +233,7 @@ def euler_phi(n: int) -> int:
 
 def mobius(n: int) -> int:
     """Mobius function: 0 on non-squarefree n, else (-1)^(number of primes)."""
-    if n < 1:
-        raise ValueError(f"mobius: n must be >= 1, got {n}")
+    require_int(n, 1, "mobius: n")
     fac = factorize(n).factors
     if any(e > 1 for _, e in fac):
         return 0
@@ -278,8 +310,7 @@ def primes_in_ap(lo: int, hi: int, m: int, a: int) -> list[int]:
     left only in a progression with fewer terms than sqrt(hi - 1), is
     confirmed by is_prime.
     """
-    if m < 1:
-        raise ValueError(f"primes_in_ap: modulus must be >= 1, got {m}")
+    require_int(m, 1, "primes_in_ap: modulus")
     if lo > hi:
         raise ValueError(f"primes_in_ap: lo={lo} exceeds hi={hi}")
     a %= m

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import (FACTOR_BOUND, euler_phi, factorize, is_prime, mobius, primes_in_ap,
-                    square_divisors)
+                    require_int, require_prime, require_shape, require_torsion, square_divisors)
 from .quadforms import CLASS_SCAN_CAP, class_number_twelfths, class_number_twelfths_sum
 
 ORDER_BOUND = 2**40
@@ -75,29 +75,22 @@ def in_hasse_window(n: int, p: int) -> bool:
     return (p - 1 - n) ** 2 < 4 * n
 
 
-def _require_shape(m: int, k: int) -> None:
-    if m < 1 or k < 1:
-        raise ValueError(f"invalid shape ({m}, {k})")
-
-
 def trace_discriminant(m: int, k: int, p: int) -> int:
-    """d(p) = ((p-1)/m - mk)^2 - 4k; requires p = 1 (mod m) inside the window."""
-    _require_shape(m, k)
-    n = m * m * k
-    if p % m != 1 % m:
-        raise ValueError(f"p = {p} is not 1 mod m = {m}")
-    if not in_hasse_window(n, p):
-        raise ValueError(f"p = {p} is outside the Hasse window of N = {n}")
+    """d(p) = ((p-1)/m - mk)^2 - 4k; requires a prime p = 1 (mod m) inside the window."""
+    require_shape(m, k)
+    require_prime(p)
+    if p % m != 1 % m or not in_hasse_window(m * m * k, p):
+        raise ValueError(f"p = {p} is not a window prime 1 mod {m} of N = {m * m * k}")
     return ((p - 1) // m - m * k) ** 2 - 4 * k
 
 
 def m_p_of_group(m: int, k: int, p: int) -> Fraction:
     """Weighted count of classes over F_p with group Z/m x Z/mk."""
-    _require_shape(m, k)
-    n = m * m * k
-    if p % m != 1 % m or not in_hasse_window(n, p):
+    require_shape(m, k)
+    require_prime(p)
+    if p % m != 1 % m or not in_hasse_window(m * m * k, p):
         return Fraction(0)
-    return Fraction(class_number_twelfths(trace_discriminant(m, k, p), k), 12)
+    return Fraction(class_number_twelfths(((p - 1) // m - m * k) ** 2 - 4 * k, k), 12)
 
 
 def require_scannable(k: int) -> None:
@@ -125,7 +118,7 @@ def _window_sum(m: int, k: int, restriction: int) -> int:
     the window scan (OverflowError), then the class-number scan cap
     (ValueError).
     """
-    _require_shape(m, k)
+    require_shape(m, k)
     n = m * m * k
     _window_range(n, m)
     require_scannable(k)
@@ -169,8 +162,8 @@ def _window_primes(n: int, m: int) -> tuple[int, ...]:
 
 def m_p_of_order(n: int, nt: int, p: int) -> Fraction:
     """Weighted count of curves over F_p with order n and full nt-torsion."""
-    if nt < 1 or n % (nt * nt) != 0:
-        raise ValueError(f"torsion level {nt} must satisfy nt^2 | {n}")
+    require_torsion(n, nt)
+    require_prime(p)
     if p % nt != 1 % nt or not in_hasse_window(n, p):
         return Fraction(0)
     d = (p - 1 - n) ** 2 - 4 * n
@@ -180,8 +173,7 @@ def m_p_of_order(n: int, nt: int, p: int) -> Fraction:
 def m_of_order_by_primes(n: int) -> Fraction:
     """M(n) summed over the window primes of n, bounds checked first: the
     window sum of the shape (1, n), whose d(p) = (p-1-n)^2 - 4n, unrestricted."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+    require_int(n, 1, "order")
     return Fraction(_window_sum(1, n, 1), 12)
 
 
@@ -226,7 +218,9 @@ def m_of_order(n: int) -> Fraction:
 
 
 def inclusion_exclusion_check(m: int, k: int, p: int) -> Fraction:
-    """Right side of M_p(G) = sum over r^2 | k of mu(r) M_p(N; rm)."""
+    """Right side of M_p(G) = sum over r^2 | k of mu(r) M_p(N; rm); the term
+    at r = 1 checks p."""
+    require_shape(m, k)
     n = m * m * k
     total = Fraction(0)
     for r in square_divisors(k):
@@ -242,7 +236,7 @@ def delta_statistic(m: int, k: int) -> float:
     (phi(m) log(2N) / N) * sum of sqrt(4N - (p-1-N)^2) over window primes
     p = 1 (mod m); the radicand equals (p - N^-)(N^+ - p) exactly.
     """
-    _require_shape(m, k)
+    require_shape(m, k)
     n = m * m * k
     s = sum(
         math.sqrt(4 * n - (p - 1 - n) ** 2) for p in window_primes_in_class(n, m)
@@ -252,8 +246,7 @@ def delta_statistic(m: int, k: int) -> float:
 
 def eta_statistic(n: int) -> float:
     """Same normalized sum with every window prime counted: delta_statistic(1, n)."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+    require_int(n, 1, "order")
     return delta_statistic(1, n)
 
 
@@ -402,10 +395,9 @@ def _tally(p: int, counts: dict[GroupShape, int], scans_per_class: int,
 
 def brute_force_tally(p: int) -> CurveTally:
     """Exhaustive weighted census of elliptic curves over F_p (oracle)."""
+    require_prime(p)
     if p > ORACLE_PRIME_CAP:
         raise ValueError(f"oracle prime {p} exceeds the cap {ORACLE_PRIME_CAP}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     inv = [0] + [pow(v, p - 2, p) for v in range(1, p)]
     return _tally_small(p, inv) if p <= 3 else _tally_large(p, inv)
 

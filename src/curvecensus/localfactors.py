@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import euler_phi, factorize, kronecker, valuation
+from .arith import (euler_phi, factorize, kronecker, require_int, require_prime, require_shape,
+                    valuation)
 
 # prod over odd primes l of 1 - 1/(l-1)^2, the twin-prime constant
 C2 = 0.66016181584686957
@@ -45,8 +46,7 @@ def aut_order(m: int, k: int) -> int:
     so #Aut = m^3 phi(m) phi(k) times (l^2 - 1)/l^2 at each such l; every
     division is exact, as l^3 divides m^3.
     """
-    if m < 1 or k < 1:
-        raise ValueError(f"invalid shape ({m}, {k})")
+    require_shape(m, k)
     out = m**3 * euler_phi(m) * euler_phi(k)
     for ell, _ in factorize(m).factors:
         if k % ell:
@@ -91,22 +91,22 @@ def _closed_form(factor_at, n: int) -> float:
 
 def k_of_group(m: int, k: int) -> float:
     """The shape constant K(m, k) in closed form."""
-    if m < 1 or k < 1:
-        raise ValueError(f"invalid shape ({m}, {k})")
+    require_shape(m, k)
     return _closed_form(lambda ell: group_factor(m, k, ell), m * m * k)
 
 
 def k_of_order(n: int) -> float:
     """The order constant K(n) in closed form."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+    require_int(n, 1, "order")
     return _closed_form(lambda ell: order_factor(n, ell), n)
 
 
 def main_term(n: int, aut: int, constant: float) -> float:
-    """constant * n^2 / (aut * log n) for a shape of order n with aut automorphisms."""
-    if n < 2:
-        raise ValueError("main term undefined for the trivial group (log 1 = 0)")
+    """constant * n^2 / (aut * log n) for a shape of order n >= 2 with aut automorphisms."""
+    require_int(n, 2, "order")
+    require_int(aut, 1, "#Aut")
+    if type(constant) is not float:
+        raise ValueError(f"constant must be a float, got {constant!r}")
     return constant * n * n / (aut * math.log(n))
 
 
@@ -116,8 +116,8 @@ def main_term(n: int, aut: int, constant: float) -> float:
 def t_of_n(n: int, m: int, k: int) -> int:
     """T(n) by enumeration: over squares d = j^2 mod n, the Kronecker symbol
     (d - 4k / n) counted at each j with N + 1 + jm coprime to n."""
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
+    require_int(n, 1, "modulus")
+    require_shape(m, k)
     big_n = m * m * k
     total = 0
     for j in range(n):
@@ -128,12 +128,18 @@ def t_of_n(n: int, m: int, k: int) -> int:
     return total
 
 
+def _require_local_prime(ell: int, m: int, k: int) -> None:
+    """Refuse unless (m, k) is a shape and ell a prime not dividing 2k."""
+    require_shape(m, k)
+    require_prime(ell)
+    if (2 * k) % ell == 0:
+        raise ValueError(f"the local sums need ell = {ell} coprime to 2k = {2 * k}")
+
+
 def t_closed_form(ell: int, w: int, m: int, k: int) -> int:
     """T(ell^w) in closed form, valid for primes ell not dividing 2k."""
-    if (2 * k) % ell == 0:
-        raise ValueError(f"closed form requires ell = {ell} coprime to 2k = {2 * k}")
-    if w < 1:
-        raise ValueError(f"exponent must be >= 1, got {w}")
+    _require_local_prime(ell, m, k)
+    require_int(w, 1, "exponent")
     big_n = m * m * k
     head = -(kronecker(m * (big_n - 1), ell) ** 2)
     if w % 2 == 0:
@@ -148,8 +154,7 @@ def p_of_ell(ell: int, m: int, k: int) -> Fraction:
 
     Closed rational form; the truncated series agrees within a geometric tail.
     """
-    if (2 * k) % ell == 0:
-        raise ValueError(f"P(ell) requires ell = {ell} coprime to 2k = {2 * k}")
+    _require_local_prime(ell, m, k)
     big_n = m * m * k
     sm = kronecker(m, ell) ** 2
     sn1 = kronecker(big_n - 1, ell) ** 2
@@ -161,8 +166,7 @@ def p_of_ell(ell: int, m: int, k: int) -> Fraction:
 
 def p_of_ell_series(ell: int, m: int, k: int, terms: int = 12) -> Fraction:
     """Partial sum of the P(ell) series through T(ell^terms), exact."""
-    if (2 * k) % ell == 0:
-        raise ValueError(f"P(ell) requires ell = {ell} coprime to 2k = {2 * k}")
+    _require_local_prime(ell, m, k)
     sm = kronecker(m, ell) ** 2
     total = Fraction(1)
     for w in range(1, terms + 1):
@@ -176,10 +180,10 @@ def p_of_ell_series(ell: int, m: int, k: int, terms: int = 12) -> Fraction:
 def j_r_v(r: int, v: int, m: int, k: int) -> int:
     """Count of 1 <= j <= 2^(2v+3) with (j - mk)^2 = 4k + 4^v r mod 2^(2v+3)
     and jm even."""
-    if r not in (0, 1, 4, 5):
+    if type(r) is not int or r not in (0, 1, 4, 5):
         raise ValueError(f"residue class r must be in {{0, 1, 4, 5}}, got {r}")
-    if v < 0:
-        raise ValueError(f"level v must be >= 0, got {v}")
+    require_int(v, 0, "level v")
+    require_shape(m, k)
     modulus = 2 ** (2 * v + 3)
     target = (4 * k + 4**v * r) % modulus
     count = 0
@@ -202,8 +206,7 @@ def script_j(m: int, k: int) -> Fraction:
     """The 2-adic constant in closed form: 2/3 for m and k odd, 3/2 for both
     even, 1 otherwise.  script_j_by_levels is the enumeration it is checked
     against."""
-    if m < 1 or k < 1:
-        raise ValueError(f"invalid shape ({m}, {k})")
+    require_shape(m, k)
     if m % 2 == 1 and k % 2 == 1:
         return Fraction(2, 3)
     if m % 2 == 0 and k % 2 == 0:
@@ -217,8 +220,7 @@ def script_j_by_levels(m: int, k: int) -> Fraction:
     The levels v >= 3 all take the v = 3 value, so that tail is geometric in
     1/8 and summed exactly.
     """
-    if m < 1 or k < 1:
-        raise ValueError(f"invalid shape ({m}, {k})")
+    require_shape(m, k)
     if k % 2 == 0:
         return _script_j_level(0, m, k)  # (2^v, k) = 1 forces v = 0
     head = sum((_script_j_level(v, m, k) / 8**v for v in range(3)), Fraction(0))

@@ -17,12 +17,21 @@ import functools
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .arith import is_prime, kronecker, valuation
+from .arith import (kronecker, require_int, require_prime, require_shape, require_torsion,
+                    valuation)
 from .localfactors import group_factor, order_factor
 
 BRUTE_BUDGET = 10**8
-# A query's l^e is at most 2^MODULUS_BITS; as l >= 2, e is checked before any power
+# A prime power l^e is at most 2^MODULUS_BITS; as l >= 2, e is checked before any power
 MODULUS_BITS = 64
+
+
+def _require_prime_power(ell: int, e: int, lo: int) -> None:
+    """Refuse unless ell is prime, e an int >= lo and ell^e <= 2^MODULUS_BITS."""
+    require_prime(ell)
+    require_int(e, lo, "exponent")
+    if e > MODULUS_BITS or ell**e > 2**MODULUS_BITS:
+        raise ValueError(f"modulus {ell}^{e} exceeds 2^{MODULUS_BITS}")
 
 
 class MatrixCountQuery(namedtuple("MatrixCountQuery", "n_order n_torsion ell e")):
@@ -36,14 +45,9 @@ class MatrixCountQuery(namedtuple("MatrixCountQuery", "n_order n_torsion ell e")
     __slots__ = ()
 
     def __new__(cls, n_order: int, n_torsion: int, ell: int, e: int):
-        if n_order < 1 or n_torsion < 1:
+        if not (type(n_order) is type(n_torsion) is int and n_order >= 1 and n_torsion >= 1):
             raise ValueError("order and torsion level must be >= 1")
-        if e < 1:
-            raise ValueError(f"exponent must be >= 1, got {e}")
-        if not is_prime(ell):
-            raise ValueError(f"{ell} is not prime")
-        if e > MODULUS_BITS or ell**e > 2**MODULUS_BITS:
-            raise ValueError(f"modulus {ell}^{e} exceeds 2^{MODULUS_BITS}")
+        _require_prime_power(ell, e, 1)
         return super().__new__(cls, n_order, n_torsion, ell, e)
 
     @classmethod
@@ -52,11 +56,8 @@ class MatrixCountQuery(namedtuple("MatrixCountQuery", "n_order n_torsion ell e")
 
 
 def gl2_order(ell: int, e: int) -> int:
-    """#GL2(Z/l^e) = l^(4(e-1)+1) (l+1) (l-1)^2, for a prime l."""
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    if e < 1:
-        raise ValueError(f"exponent must be >= 1, got {e}")
+    """#GL2(Z/l^e) = l^(4(e-1)+1) (l+1) (l-1)^2, for a prime l and l^e <= 2^MODULUS_BITS."""
+    _require_prime_power(ell, e, 1)
     return ell ** (4 * (e - 1) + 1) * (ell + 1) * (ell - 1) ** 2
 
 
@@ -67,6 +68,8 @@ def _product_histogram(entries: list[int] | range, mod: int) -> Counter:
 
 def count_c_brute(q: MatrixCountQuery) -> int:
     """Fiber count by full enumeration: one entry of the memoized fiber scan."""
+    if type(q) is not MatrixCountQuery:
+        raise ValueError(f"{q!r} is not a MatrixCountQuery")
     mod = q.ell**q.e
     u = valuation(q.ell, q.n_torsion)
     fibers = count_c_fibers(q.ell, q.e, u)  # raises past either budget
@@ -113,6 +116,8 @@ def count_c_fibers(ell: int, e: int, u: int) -> tuple[int, ...]:
 
 def count_c_closed(q: MatrixCountQuery) -> int:
     """Stabilized fiber count in closed form; requires e > valuation of N."""
+    if type(q) is not MatrixCountQuery:
+        raise ValueError(f"{q!r} is not a MatrixCountQuery")
     ell, e = q.ell, q.e
     u = valuation(ell, q.n_torsion)
     v = valuation(ell, q.n_order)
@@ -135,10 +140,8 @@ def det_count_closed(m_det: int, ell: int, e: int) -> int:
     l^(2(r-1)) (l^(3s)(l+1)(l^(r+1)-1) + [s = 0]); e < r is rejected.  At
     r = 0 that is l^(3e-2) (l^2 - 1), or 1 at e = 0, so it stays in integers.
     """
-    if m_det < 1:
-        raise ValueError(f"determinant target must be >= 1, got {m_det}")
-    if e < 0:
-        raise ValueError(f"exponent must be >= 0, got {e}")
+    require_int(m_det, 1, "determinant target")
+    _require_prime_power(ell, e, 0)
     r = valuation(ell, m_det)
     if r > e:
         raise ValueError(f"valuation {r} of {m_det} exceeds exponent {e}")
@@ -184,8 +187,8 @@ def _density(n: int, u: int, ell: int) -> Fraction:
 
 def euler_density(n: int, nt: int, ell: int) -> Fraction:
     """The stabilized local density for order n and torsion level nt, nt^2 | n."""
-    if nt < 1 or n % (nt * nt) != 0:
-        raise ValueError(f"torsion level {nt} must satisfy nt^2 | {n}")
+    require_torsion(n, nt)
+    require_prime(ell)
     return _density(n, valuation(ell, nt), ell)
 
 
@@ -195,6 +198,8 @@ def shape_density(m: int, k: int, ell: int) -> Fraction:
     The order is m^2 k.  The value is a difference of two stabilized
     densities, and kg_local_factor equals it.
     """
+    require_shape(m, k)
+    require_prime(ell)
     u = valuation(ell, m)
     n = m * m * k
     return _density(n, u, ell) - _density(n, u + 1, ell)

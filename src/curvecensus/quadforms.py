@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .arith import kronecker, sieving_primes
+from .arith import kronecker, require_int, sieving_primes
 
 
 class LSeriesValue(NamedTuple):
@@ -39,18 +39,20 @@ class LSeriesValue(NamedTuple):
     tail_bound: float
 
 
-# class_number_twelfths refuses any |d| at or above this bound.
+# Every route that counts the forms of d refuses any |d| at or above this bound.
 CLASS_SCAN_CAP = 2**26
 
 # Memoized 12 H(d), one entry per discriminant.  The package runs on one thread.
 _cache: dict[int, int] = {}
 
 
-def _require_discriminant(d: int, k: int = 1) -> None:
-    if d >= 0 or d % 4 not in (0, 1):
+def _require_discriminant(d: int) -> None:
+    """Refuse d unless it is an int d < 0, d = 0, 1 mod 4, with |d| below CLASS_SCAN_CAP:
+    every route loops over the isqrt(|d|/3) leading coefficients of its forms."""
+    if type(d) is not int or d >= 0 or d % 4 not in (0, 1):
         raise ValueError(f"{d} is not a negative discriminant (need d < 0, d = 0,1 mod 4)")
-    if k < 1:
-        raise ValueError(f"restriction parameter must be >= 1, got {k}")
+    if -d >= CLASS_SCAN_CAP:
+        raise ValueError(f"class-number scan of |d| = {-d} reaches the cap {CLASS_SCAN_CAP}")
 
 
 def reduced_forms(d: int) -> Iterator[tuple[int, int, int]]:
@@ -170,23 +172,20 @@ def _twelfths(d: int) -> int:
 def class_number_twelfths_sum(discriminants: Iterable[int], k: int) -> int:
     """The sum of 12 H_k(d) over the discriminants d, an integer.
 
-    The whole list is checked first: the first bad d raises what
-    class_number_twelfths(d, k) raises, and k < 1 raises for an empty list
-    too.  12 H_k(d) is the sum of mu(g) 12 H(d/g^2) over the squarefree
-    g | k with d/g^2 a discriminant, so only the d with gcd(d, k) > 1 add
-    more than their memo entry; the primes of k are found once per call.
+    k is checked first, then the whole list: the first bad d raises what
+    class_number_twelfths(d, k) raises.  12 H_k(d) is the sum of
+    mu(g) 12 H(d/g^2) over the squarefree g | k with d/g^2 a discriminant,
+    so only the d with gcd(d, k) > 1 add more than their memo entry; the
+    primes of k are found once per call.
     """
+    require_int(k, 1, "restriction parameter")
     ds = list(discriminants)  # read more than once below
     get = _cache.get
-    twelfths = [get(d) for d in ds]
-    if k < 1 or None in twelfths:
-        # the memo keeps only the d that passed these checks, so a hit needs
-        # none; with k < 1 the first d fails, and -3 stands in for an empty list
-        for d in [d for d, t in zip(ds, twelfths) if t is None or k < 1] or [-3]:
-            _require_discriminant(d, k)
-            if -d >= CLASS_SCAN_CAP:
-                raise ValueError(
-                    f"class-number scan of |d| = {-d} reaches the cap {CLASS_SCAN_CAP}")
+    # the memo keeps only int d that passed the check, so an int hit needs none
+    twelfths = [get(d) if type(d) is int else None for d in ds]
+    if None in twelfths:
+        for d in [d for d, t in zip(ds, twelfths) if t is None]:
+            _require_discriminant(d)
         twelfths = [t or _twelfths(d) for d, t in zip(ds, twelfths)]
     total = sum(twelfths)
     if k > 1 and ds:
@@ -215,9 +214,9 @@ def kronecker_class_number_weighted(d: int, k: int) -> Fraction:
 
     Independent of the f-sum route: walks every reduced form of discriminant
     d once, skips contents sharing a factor with k, and weights by the shape
-    of the underlying primitive form.
+    of the underlying primitive form.  reduced_forms checks d.
     """
-    _require_discriminant(d, k)
+    require_int(k, 1, "restriction parameter")
     total = Fraction(0)
     for a, b, c in reduced_forms(d):
         f = math.gcd(math.gcd(a, b), c)
@@ -270,8 +269,7 @@ def l_value_series(d: int, x: int) -> LSeriesValue:
     """
     _require_discriminant(d)
     q = -d
-    if x < q:
-        raise ValueError(f"series cutoff {x} is below |d| = {q}")
+    require_int(x, q, "series cutoff")
     total = 0.0
     for r in range(1, q):
         chi = kronecker(d, r)
