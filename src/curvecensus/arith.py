@@ -30,8 +30,7 @@ from collections import namedtuple
 # Deterministic for all n < 3.3 * 10^24, in particular all 64-bit inputs.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_TRIAL_TEST = 2**10  # factorize tests the cofactor left at this trial divisor
-_TRIAL_LIMIT = 10**6
+_TRIAL_TEST = 2**10  # factorize trial-divides up to here, then tests the cofactor
 
 # is_prime is proven below this; factorize refuses n at or above it, and the
 # window sums refuse a Hasse window that reaches it.
@@ -193,32 +192,25 @@ def factorize(n: int) -> Factorization:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    # 2,3,5-wheel trial division up to min(sqrt(n), 2^10), and on to 10^6 only
-    # for a composite cofactor; once p passes sqrt(n), n is 1 or a prime.
+    # 2,3,5-wheel trial division up to min(sqrt(n), 2^10).  What is left has no
+    # prime factor below p, so each factor of it below p^2 is prime; is_prime
+    # proves any other, or Brent rho splits it.
     p, i = 7, 0
     increments = (4, 2, 4, 2, 4, 6, 2, 6)
-    for limit in (_TRIAL_TEST, _TRIAL_LIMIT):
-        while p * p <= n and p <= limit:
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-            p += increments[i]
-            i = (i + 1) % 8
-        prime = p * p > n or limit == _TRIAL_TEST and is_prime(n)
-        if prime:
-            break
-    if prime and n > 1:
-        out[n] = 1  # every prime recorded so far is below p <= n
-    elif n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if is_prime(m):
-                out[m] = out.get(m, 0) + 1
-                continue
+    while p * p <= n and p <= _TRIAL_TEST:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += increments[i]
+        i = (i + 1) % 8
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if p * p > m or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
             d = _brent_rho(m)
-            stack.append(d)
-            stack.append(m // d)
+            stack += d, m // d
     return Factorization(value, tuple(sorted(out.items())))
 
 

@@ -94,46 +94,43 @@ def _emit(args, columns: list[str], rows: list[list],
 # --- subcommands ------------------------------------------------------------
 
 
-def _main_term_cells(m: int, k: int, total: Fraction):
-    """#Aut, the constant K(m, k), and the main-term and ratio cells of a shape.
+_SHAPE_COLUMNS = [
+    "m", "k", "n", "m_of_group", "m_of_group_decimal",
+    "aut_order", "k_shape_truncated", "main_term", "ratio",
+]
 
-    Both cells are empty for the trivial group (log 1 = 0).
+
+def _shape_row(m: int, k: int) -> list:
+    """The cells of _SHAPE_COLUMNS for one shape: M(G), #Aut, K(m, k), main term, ratio.
+
+    The main-term and ratio cells are empty for the trivial group (log 1 = 0).
     """
     n = m * m * k
+    total = curves.m_of_group(m, k)
     aut = localfactors.aut_order(m, k)
     constant = localfactors.k_of_group(m, k)
-    if n < 2:
-        return aut, constant, "", ""
-    main = localfactors.main_term(n, aut, constant)
-    return aut, constant, _fmt_float(main), _fmt_float(float(total) / main)
+    main_s = ratio_s = ""
+    if n > 1:
+        main = localfactors.main_term(n, aut, constant)
+        main_s, ratio_s = _fmt_float(main), _fmt_float(float(total) / main)
+    return [m, k, n, _fmt_frac(total), _fmt_float(float(total)),
+            aut, _fmt_float(constant), main_s, ratio_s]
 
 
 def cmd_mg(args) -> int:
     m, k = args.m, args.k
-    n = m * m * k
-    total = curves.m_of_group(m, k)
-    aut, constant, main_s, ratio_s = _main_term_cells(m, k, total)
-    summary = {
-        "m": m,
-        "k": k,
-        "n": n,
-        "m_of_group": _fmt_frac(total),
-        "m_of_group_decimal": _fmt_float(float(total)),
-        "delta": _fmt_float(curves.delta_statistic(m, k)),
-        "aut_order": aut,
-        "k_shape_truncated": _fmt_float(constant),
-        "main_term": main_s,
-        "ratio": ratio_s,
-    }
+    row = _shape_row(m, k)
+    row.insert(5, _fmt_float(curves.delta_statistic(m, k)))  # after m_of_group_decimal
+    summary = dict(zip([*_SHAPE_COLUMNS[:5], "delta", *_SHAPE_COLUMNS[5:]], row))
     if args.per_prime:
         columns = ["p", "term", "term_decimal"]
         rows = []
-        for p in curves.window_primes_in_class(n, m):
+        for p in curves.window_primes_in_class(m * m * k, m):
             t = curves.m_p_of_group(m, k, p)  # each class number is memoized by now
             rows.append([p, _fmt_frac(t), _fmt_float(float(t))])
     else:
-        columns = list(summary.keys())
-        rows = [list(summary.values())]
+        columns = list(summary)
+        rows = [row]
     _emit(args, columns, rows, summary=summary)
     return 0
 
@@ -161,23 +158,9 @@ def cmd_mn(args) -> int:
 
 def cmd_grid(args) -> int:
     curves.require_scannable(args.kmax)  # refuse the rectangle before its first row
-    rows = []
-    for m in range(1, args.mmax + 1):
-        for k in range(1, args.kmax + 1):
-            total = curves.m_of_group(m, k)
-            aut, constant, main_s, ratio_s = _main_term_cells(m, k, total)
-            rows.append([
-                m, k, m * m * k,
-                _fmt_frac(total), _fmt_float(float(total)),
-                aut,
-                _fmt_float(constant),
-                main_s, ratio_s,
-            ])
-    columns = [
-        "m", "k", "n", "m_of_group", "m_of_group_decimal",
-        "aut_order", "k_shape_truncated", "main_term", "ratio",
-    ]
-    _emit(args, columns, rows)
+    rows = [_shape_row(m, k)
+            for m in range(1, args.mmax + 1) for k in range(1, args.kmax + 1)]
+    _emit(args, _SHAPE_COLUMNS, rows)
     return 0
 
 

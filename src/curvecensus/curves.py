@@ -96,9 +96,9 @@ def m_p_of_group(m: int, k: int, p: int) -> Fraction:
 def require_scannable(k: int) -> None:
     """Refuse a window sum over discriminants |d| <= 4k before it starts.
 
-    Applies to the shape parameter k of m_of_group and to the order of
-    m_of_order_by_primes: 4k + 4 at or above quadforms.CLASS_SCAN_CAP raises
-    ValueError before any class number is computed.
+    Applies to the shape parameter k of m_of_group and to the order n of
+    m_of_order, the shape (1, n): 4k + 4 at or above quadforms.CLASS_SCAN_CAP
+    raises ValueError before any class number is computed.
     """
     if 4 * k + 4 >= CLASS_SCAN_CAP:
         raise ValueError(
@@ -108,23 +108,22 @@ def require_scannable(k: int) -> None:
 
 def m_of_group(m: int, k: int) -> Fraction:
     """Weighted count over all primes: sum of m_p_of_group over the window."""
-    return Fraction(_window_sum(m, k, k), 12)
+    return Fraction(class_number_twelfths_sum(_window_discriminants(m, k), k), 12)
 
 
-def _window_sum(m: int, k: int, restriction: int) -> int:
-    """Sum of 12 H_restriction(d(p)) over the window primes p = 1 (mod m) of m^2 k.
+def _window_discriminants(m: int, k: int) -> list[int]:
+    """The d(p) of the window primes p = 1 (mod m) of m^2 k, ascending in p.
 
-    The shape, then both bounds are checked before any candidate is tested:
-    the window scan (OverflowError), then the class-number scan cap
-    (ValueError).
+    The shape, then the bounds are checked before any candidate is tested:
+    the window scan (OverflowError), the window's reach of 2^64, then the
+    class-number scan cap (ValueError).
     """
     require_shape(m, k)
     n = m * m * k
     _window_range(n, m)
     require_scannable(k)
     # every window prime is 1 mod m, so each d(p) is a discriminant
-    return class_number_twelfths_sum(
-        [((p - 1) // m - m * k) ** 2 - 4 * k for p in window_primes_in_class(n, m)], restriction)
+    return [((p - 1) // m - m * k) ** 2 - 4 * k for p in window_primes_in_class(n, m)]
 
 
 def _window_range(n: int, m: int) -> tuple[int, int]:
@@ -170,13 +169,6 @@ def m_p_of_order(n: int, nt: int, p: int) -> Fraction:
     return Fraction(class_number_twelfths(d // (nt * nt), 1), 12)
 
 
-def m_of_order_by_primes(n: int) -> Fraction:
-    """M(n) summed over the window primes of n, bounds checked first: the
-    window sum of the shape (1, n), whose d(p) = (p-1-n)^2 - 4n, unrestricted."""
-    require_int(n, 1, "order")
-    return Fraction(_window_sum(1, n, 1), 12)
-
-
 def order_decomposition(n: int) -> list[tuple[int, int]]:
     """All shapes (m, k) with m^2 k = n, ascending in m."""
     return [(m, n // (m * m)) for m in square_divisors(n)]
@@ -185,12 +177,17 @@ def order_decomposition(n: int) -> list[tuple[int, int]]:
 def _order_routes(n: int) -> tuple[Fraction, Fraction, list[tuple[int, int, int]]]:
     """M(n) by window primes, M(n) by shapes, and the terms (m, k, 12 M(Z/m x Z/mk)).
 
-    The sum over window primes comes first, so it refuses an n above the scan
-    cap; each shape term is the window sum that m_of_group divides by 12.
+    The d(p) = (p-1-n)^2 - 4n of the shape (1, n) are read first and once, so
+    their bounds refuse an n before any class number: unrestricted they sum to
+    M(n) by primes, restricted to n to the term at m = 1.  Every other term is
+    the sum over its own window that m_of_group divides by 12.
     """
-    by_primes = m_of_order_by_primes(n)
-    terms = [(m, k, _window_sum(m, k, k)) for m, k in order_decomposition(n)]
-    return by_primes, Fraction(sum(t for _, _, t in terms), 12), terms
+    require_int(n, 1, "order")
+    whole = _window_discriminants(1, n)
+    by_primes = class_number_twelfths_sum(whole, 1)
+    terms = [(m, k, class_number_twelfths_sum(whole if m == 1 else _window_discriminants(m, k), k))
+             for m, k in order_decomposition(n)]
+    return Fraction(by_primes, 12), Fraction(sum(t for _, _, t in terms), 12), terms
 
 
 def m_of_order_routes(n: int) -> tuple[Fraction, Fraction]:

@@ -164,12 +164,12 @@ def p_of_ell(ell: int, m: int, k: int) -> Fraction:
     return Fraction(num, den)
 
 
-def p_of_ell_series(ell: int, m: int, k: int, terms: int = 12) -> Fraction:
-    """Partial sum of the P(ell) series through T(ell^terms), exact."""
+def p_of_ell_series(ell: int, m: int, k: int) -> Fraction:
+    """Partial sum of the P(ell) series through T(ell^12), exact."""
     _require_local_prime(ell, m, k)
     sm = kronecker(m, ell) ** 2
     total = Fraction(1)
-    for w in range(1, terms + 1):
+    for w in range(1, 13):
         total += Fraction(t_closed_form(ell, w, m, k), ell ** (2 * w - 1) * (ell - sm))
     return total
 

@@ -74,10 +74,12 @@ def test_out_of_domain_arguments_raise_value_error():
         quadforms.class_number_twelfths_sum([-5], 0)
 
 
-# Boundary values: the small ints, 2^40 (the order bound), the edges of 2^64
-# (the factorization bound), a 30-digit int, and the non-ints a caller might
-# pass.  No value sits just under a cap, where the work, though bounded, is long.
-VALUES = [0, 1, 2, -1, 2**40, 2**64 - 1, 2**64, 2**64 + 1, 10**30, True, 1.0, "x", ""]
+# Boundary values: the small ints, the discriminants -3 and -4 (so the class-number
+# functions reach their k checks), 2^40 (the order bound), the edges of 2^64 (the
+# factorization bound), a 30-digit int, and the non-ints a caller might pass.  No
+# value sits just under a cap, where the work, though bounded, is long.
+VALUES = [0, 1, 2, -1, -3, -4, 2**40, 2**64 - 1, 2**64, 2**64 + 1, 10**30,
+          True, 1.0, "x", ""]
 
 
 def _arity(obj) -> int:

@@ -271,7 +271,7 @@ def test_primes_in_ap_sieve_proves_its_survivors(monkeypatch):
 
 
 def test_factorize_tests_a_large_cofactor_before_trial_division():
-    # a prime near 10^12 used to be trial-divided up to 10^6, about 60 ms each
+    # trial division stops at 2^10, so a prime near 10^12 is proven by one is_prime call
     primes = []
     n = 10**12
     while len(primes) < 10:
@@ -283,9 +283,31 @@ def test_factorize_tests_a_large_cofactor_before_trial_division():
     elapsed = time.perf_counter() - t0
     assert [f.factors for f in facs] == [((p, 1),) for p in primes]
     assert elapsed < 0.1, elapsed
-    # a composite cofactor still goes on to trial division and rho
+    # a prime below 2^10 is divided out, and a composite cofactor goes to rho
     assert arith.factorize(1009 * (10**12 + 39)).factors == ((1009, 1), (10**12 + 39, 1))
     assert arith.factorize(1000003 * 1000033 * 7).factors == ((7, 1), (1000003, 1), (1000033, 1))
+
+
+def test_factorize_splits_composite_cofactors_by_rho():
+    # cofactors with no prime below 2^10: semiprimes of the twelve largest primes
+    # below 10^6, prime powers, and a product of three primes just above 2^10
+    top = []
+    n = 10**6
+    while len(top) < 12:
+        n -= 1
+        if arith.is_prime(n):
+            top.append(n)
+    cases = {top[i] * top[i + 1]: ((top[i + 1], 1), (top[i], 1)) for i in range(0, 12, 2)}
+    cases[1031**3] = ((1031, 3),)
+    cases[999983**2 * 7] = ((7, 1), (999983, 2))
+    cases[1031 * 1033 * 1039] = ((1031, 1), (1033, 1), (1039, 1))
+    cases[2039**2 * 1000003] = ((2039, 2), (1000003, 1))
+    t0 = time.perf_counter()
+    got = {n: arith.factorize(n).factors for n in cases}
+    elapsed = time.perf_counter() - t0
+    assert got == cases
+    # rho splits each in well under a millisecond
+    assert elapsed < 0.1, elapsed
 
 
 def test_primes_in_ap_rejects_bad_input():

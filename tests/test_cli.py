@@ -519,8 +519,9 @@ def test_verify_identity_makes_no_primality_test(capsys, monkeypatch):
 
 
 def test_mn_route_disagreement_exits_1(capsys, monkeypatch):
-    real = curves.m_of_order_by_primes
-    monkeypatch.setattr(curves, "m_of_order_by_primes", lambda n: real(n) + 1)
+    # without the shape (1, n) the shape route misses a term of the window sum
+    real = curves.order_decomposition
+    monkeypatch.setattr(curves, "order_decomposition", lambda n: real(n)[1:])
     code = cli.main(["mn", "--n", "6"])
     out, err = capsys.readouterr()
     assert code == 1

@@ -134,7 +134,7 @@ def test_window_scan_bound(monkeypatch):
         with pytest.raises(OverflowError):
             window_primes_in_class(n, m)
     with pytest.raises(OverflowError):
-        curves.m_of_order_by_primes(2**41)
+        m_of_order(2**41)
     with pytest.raises(OverflowError):
         eta_statistic(10**14)
 
@@ -154,7 +154,7 @@ def test_window_sums_check_both_bounds_before_scanning(monkeypatch):
     with pytest.raises(ValueError, match="scan cap"):
         m_of_group(1, 2**39)
     with pytest.raises(ValueError, match="scan cap"):
-        curves.m_of_order_by_primes(2**39)
+        m_of_order(2**39)
     # a window past the scan bound is refused first, as OverflowError
     with pytest.raises(OverflowError):
         m_of_group(1, 2**41)
@@ -166,8 +166,20 @@ def test_window_sums_refuse_the_scan_cap_up_front():
     with pytest.raises(ValueError, match="scan cap"):
         m_of_group(1, k)
     with pytest.raises(ValueError, match="scan cap"):
-        curves.m_of_order_by_primes(k)
+        m_of_order(k)
     assert set(quadforms._cache) == cached
+
+
+def test_order_routes_read_each_window_once(monkeypatch):
+    # 36 has the shapes (1, 36), (2, 9), (3, 4) and (6, 1): one window each, the
+    # window of (1, 36) serving both the sum over primes and the term at m = 1
+    calls = []
+    real = curves.window_primes_in_class
+    monkeypatch.setattr(curves, "window_primes_in_class",
+                        lambda n, m: calls.append((n, m)) or real(n, m))
+    by_primes, by_shapes = curves.m_of_order_routes(36)
+    assert calls == [(36, 1), (36, 2), (36, 3), (36, 6)]
+    assert by_primes == by_shapes
 
 
 def test_m_p_of_order_examples():

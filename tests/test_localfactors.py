@@ -286,7 +286,7 @@ def test_p_of_ell_series_agrees():
                 if (2 * k) % ell == 0:
                     continue
                 closed = lf.p_of_ell(ell, m, k)
-                series = lf.p_of_ell_series(ell, m, k, terms=12)
+                series = lf.p_of_ell_series(ell, m, k)
                 assert abs(closed - series) <= Fraction(2, ell**12), (ell, m, k)
 
 
