@@ -6,8 +6,11 @@ uses trial division followed by Brent's cycle method with a fixed seed
 sequence; it refuses n >= FACTOR_BOUND = 2^64 before any trial division.
 The require_* functions are the package's argument checks, one per kind:
 each refuses a bool, a non-int or an int out of range with a one-line
-ValueError.  Entry points call them up front; kronecker, is_prime and
-valuation, the hot leaves, check inline.
+ValueError.  The boundary rule: a value is checked once, where it enters
+the package.  An exported function calls the checks up front and then a
+private kernel that checks nothing, and package code that already holds
+checked values calls the kernel, not the exported function.  kronecker,
+is_prime and valuation, the hot leaves, check inline.
 Primes in arithmetic progressions come from the base primes: read by
 bisection below 2^12, else by a sieve of the progression by the base primes
 up to its square root; is_prime serves single numbers and is the sieve's
@@ -40,12 +43,14 @@ FACTOR_BOUND = 2**64
 SIEVE_CAP = 2**26
 
 
-def require_int(value: int, lo: int, name: str) -> None:
-    """Refuse anything but an int >= lo; a bool is not an int here."""
+def require_int(value: int, lo: int, name: str, hi: int | None = None) -> None:
+    """Refuse anything but an int >= lo, and <= hi when hi is given; a bool is not an int here."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
     if value < lo:
         raise ValueError(f"{name} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ValueError(f"{name} must be <= {hi}, got {value}")
 
 
 def require_prime(p: int) -> None:

@@ -124,10 +124,7 @@ def cmd_mg(args) -> int:
     summary = dict(zip([*_SHAPE_COLUMNS[:5], "delta", *_SHAPE_COLUMNS[5:]], row))
     if args.per_prime:
         columns = ["p", "term", "term_decimal"]
-        rows = []
-        for p in curves.window_primes_in_class(m * m * k, m):
-            t = curves.m_p_of_group(m, k, p)  # each class number is memoized by now
-            rows.append([p, _fmt_frac(t), _fmt_float(float(t))])
+        rows = [[p, _fmt_frac(t), _fmt_float(float(t))] for p, t in curves.window_terms(m, k)]
     else:
         columns = list(summary)
         rows = [row]
@@ -292,10 +289,7 @@ def _suite_constants(nmax: int, mmax: int, kmax: int, lmax: int) -> list[list]:
 
 
 def _suite_identity(nmax: int) -> list[list]:
-    rows = []
-    for n in range(1, nmax + 1):
-        rows.append(_check(f"n={n}", *curves.m_of_order_routes(n)))
-    return rows
+    return [_check(f"n={n}", *curves.m_of_order_routes(n)) for n in range(1, nmax + 1)]
 
 
 def _suite_classnumbers(nmax: int) -> list[list]:
@@ -309,10 +303,9 @@ def _suite_classnumbers(nmax: int) -> list[list]:
                                12 * quadforms.kronecker_class_number_weighted(d, k), str))
     for n in range(1, nmax + 1):
         for m, k in curves.order_decomposition(n):
-            for p in curves.window_primes_in_class(n, m):
-                rows.append(_check(f"inclusion-exclusion m={m} k={k} p={p}",
-                                   curves.inclusion_exclusion_check(m, k, p),
-                                   curves.m_p_of_group(m, k, p)))
+            rows += [_check(f"inclusion-exclusion m={m} k={k} p={p}", lhs, rhs)
+                     for (p, lhs), (_, rhs) in zip(curves.inclusion_exclusion_terms(m, k),
+                                                   curves.window_terms(m, k))]
     return rows
 
 

@@ -11,6 +11,14 @@ the primes 1 mod m among them come from one sieve of that range, memoized
 per (N, m) for the other callers of the same order; a window sum hands its
 d(p) to one class_number_twelfths_sum call and divides by 12 once.
 
+Each exported function checks its arguments once and then calls private
+kernels that check nothing: one kernel computes d(p) over a list of
+window primes, and a single prime p is the window [p] or [] after one
+window test, so M_p(G) is the window sum over that one-prime window.
+window_terms and inclusion_exclusion_terms give M_p(G) and its
+inclusion-exclusion at every prime of a window after one check, and the
+routes of M(n) check n alone, as every shape of n lies inside its bounds.
+
 brute_force_tally is the independent oracle: it enumerates Weierstrass
 equations over F_p, counts points directly, reads off the group shape from
 the exponent, and applies the mass formula (each class corresponds to
@@ -34,7 +42,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import (FACTOR_BOUND, euler_phi, factorize, is_prime, mobius, primes_in_ap,
+from .arith import (FACTOR_BOUND, euler_phi, factorize, mobius, primes_in_ap,
                     require_int, require_prime, require_shape, require_torsion, square_divisors)
 from .quadforms import CLASS_SCAN_CAP, class_number_twelfths, class_number_twelfths_sum
 
@@ -75,22 +83,28 @@ def in_hasse_window(n: int, p: int) -> bool:
     return (p - 1 - n) ** 2 < 4 * n
 
 
-def trace_discriminant(m: int, k: int, p: int) -> int:
-    """d(p) = ((p-1)/m - mk)^2 - 4k; requires a prime p = 1 (mod m) inside the window."""
-    require_shape(m, k)
-    require_prime(p)
-    if p % m != 1 % m or not in_hasse_window(m * m * k, p):
-        raise ValueError(f"p = {p} is not a window prime 1 mod {m} of N = {m * m * k}")
-    return ((p - 1) // m - m * k) ** 2 - 4 * k
+def _trace_discriminants(m: int, k: int, primes: list[int]) -> list[int]:
+    """d(p) = ((p-1)/m - mk)^2 - 4k at each of primes, window primes p = 1 (mod m) of m^2 k.
+
+    The one d(p) kernel, unchecked.  At the shape (nt, n/nt^2) it is
+    ((p-1-n)^2 - 4n)/nt^2, the discriminant of the curves of order n with
+    full nt-torsion.
+    """
+    return [((p - 1) // m - m * k) ** 2 - 4 * k for p in primes]
+
+
+def _window_test(m: int, k: int, p: int) -> list[int]:
+    """[p] if p = 1 (mod m) lies in the window of m^2 k, else []: a one-prime window."""
+    return [p] if p % m == 1 % m and in_hasse_window(m * m * k, p) else []
 
 
 def m_p_of_group(m: int, k: int, p: int) -> Fraction:
-    """Weighted count of classes over F_p with group Z/m x Z/mk."""
+    """Weighted count of classes over F_p with group Z/m x Z/mk: the window sum
+    of m_of_group over the one-prime window of p."""
     require_shape(m, k)
     require_prime(p)
-    if p % m != 1 % m or not in_hasse_window(m * m * k, p):
-        return Fraction(0)
-    return Fraction(class_number_twelfths(((p - 1) // m - m * k) ** 2 - 4 * k, k), 12)
+    ds = _trace_discriminants(m, k, _window_test(m, k, p))
+    return Fraction(class_number_twelfths_sum(ds, k), 12)
 
 
 def require_scannable(k: int) -> None:
@@ -106,24 +120,34 @@ def require_scannable(k: int) -> None:
         )
 
 
+def _require_window(m: int, k: int) -> None:
+    """The checks of a sum over the window of a shape, before any candidate is tested:
+    the shape, the window scan (OverflowError), the window's reach of 2^64, then the
+    class-number scan cap (ValueError)."""
+    require_shape(m, k)
+    _window_range(m * m * k, m)
+    require_scannable(k)
+
+
 def m_of_group(m: int, k: int) -> Fraction:
     """Weighted count over all primes: sum of m_p_of_group over the window."""
+    _require_window(m, k)
     return Fraction(class_number_twelfths_sum(_window_discriminants(m, k), k), 12)
 
 
-def _window_discriminants(m: int, k: int) -> list[int]:
-    """The d(p) of the window primes p = 1 (mod m) of m^2 k, ascending in p.
+def window_terms(m: int, k: int) -> list[tuple[int, Fraction]]:
+    """The pairs (p, m_p_of_group(m, k, p)) over the window primes p = 1 (mod m)
+    of m^2 k, ascending in p, after the checks of m_of_group."""
+    _require_window(m, k)
+    primes = window_primes_in_class(m * m * k, m)
+    return [(p, Fraction(class_number_twelfths(d, k), 12))
+            for p, d in zip(primes, _trace_discriminants(m, k, primes))]
 
-    The shape, then the bounds are checked before any candidate is tested:
-    the window scan (OverflowError), the window's reach of 2^64, then the
-    class-number scan cap (ValueError).
-    """
-    require_shape(m, k)
-    n = m * m * k
-    _window_range(n, m)
-    require_scannable(k)
+
+def _window_discriminants(m: int, k: int) -> list[int]:
+    """The d(p) of the window primes p = 1 (mod m) of m^2 k, ascending in p, unchecked."""
     # every window prime is 1 mod m, so each d(p) is a discriminant
-    return [((p - 1) // m - m * k) ** 2 - 4 * k for p in window_primes_in_class(n, m)]
+    return _trace_discriminants(m, k, window_primes_in_class(m * m * k, m))
 
 
 def _window_range(n: int, m: int) -> tuple[int, int]:
@@ -159,14 +183,18 @@ def _window_primes(n: int, m: int) -> tuple[int, ...]:
     return tuple(primes_in_ap(lo, hi, m, 1))
 
 
+def _order_twelfths(n: int, nt: int, p: int) -> int:
+    """12 M_p(n; nt), the kernel of m_p_of_order: the one-prime window sum of
+    12 H(d(p)) at the shape (nt, n/nt^2)."""
+    k = n // (nt * nt)
+    return class_number_twelfths_sum(_trace_discriminants(nt, k, _window_test(nt, k, p)), 1)
+
+
 def m_p_of_order(n: int, nt: int, p: int) -> Fraction:
     """Weighted count of curves over F_p with order n and full nt-torsion."""
     require_torsion(n, nt)
     require_prime(p)
-    if p % nt != 1 % nt or not in_hasse_window(n, p):
-        return Fraction(0)
-    d = (p - 1 - n) ** 2 - 4 * n
-    return Fraction(class_number_twelfths(d // (nt * nt), 1), 12)
+    return Fraction(_order_twelfths(n, nt, p), 12)
 
 
 def order_decomposition(n: int) -> list[tuple[int, int]]:
@@ -177,12 +205,15 @@ def order_decomposition(n: int) -> list[tuple[int, int]]:
 def _order_routes(n: int) -> tuple[Fraction, Fraction, list[tuple[int, int, int]]]:
     """M(n) by window primes, M(n) by shapes, and the terms (m, k, 12 M(Z/m x Z/mk)).
 
-    The d(p) = (p-1-n)^2 - 4n of the shape (1, n) are read first and once, so
-    their bounds refuse an n before any class number: unrestricted they sum to
-    M(n) by primes, restricted to n to the term at m = 1.  Every other term is
-    the sum over its own window that m_of_group divides by 12.
+    The window of the shape (1, n) is checked and its d(p) = (p-1-n)^2 - 4n
+    read first and once, so its bounds refuse an n before any class number,
+    and bound every other shape of n: unrestricted they sum to M(n) by
+    primes, restricted to n to the term at m = 1.  Every other term is the
+    sum over its own window that m_of_group divides by 12.
     """
     require_int(n, 1, "order")
+    _window_range(n, 1)
+    require_scannable(n)
     whole = _window_discriminants(1, n)
     by_primes = class_number_twelfths_sum(whole, 1)
     terms = [(m, k, class_number_twelfths_sum(whole if m == 1 else _window_discriminants(m, k), k))
@@ -214,17 +245,34 @@ def m_of_order(n: int) -> Fraction:
     return m_of_order_terms(n)[0]
 
 
-def inclusion_exclusion_check(m: int, k: int, p: int) -> Fraction:
-    """Right side of M_p(G) = sum over r^2 | k of mu(r) M_p(N; rm); the term
-    at r = 1 checks p."""
-    require_shape(m, k)
+def _inclusion_exclusion(m: int, k: int, primes: list[int]) -> list[Fraction]:
+    """Sum over r^2 | k of mu(r) M_p(m^2 k; rm) at each p of primes, unchecked."""
+    levels = [(mu, r * m) for r in square_divisors(k) if (mu := mobius(r))]
     n = m * m * k
-    total = Fraction(0)
-    for r in square_divisors(k):
-        mu = mobius(r)
-        if mu:
-            total += mu * m_p_of_order(n, r * m, p)
-    return total
+    return [Fraction(sum(mu * _order_twelfths(n, nt, p) for mu, nt in levels), 12)
+            for p in primes]
+
+
+def inclusion_exclusion_check(m: int, k: int, p: int) -> Fraction:
+    """Right side of M_p(G) = sum over r^2 | k of mu(r) M_p(N; rm)."""
+    require_shape(m, k)
+    require_prime(p)
+    return _inclusion_exclusion(m, k, [p])[0]
+
+
+def inclusion_exclusion_terms(m: int, k: int) -> list[tuple[int, Fraction]]:
+    """The pairs (p, inclusion_exclusion_check(m, k, p)) over the primes of
+    window_terms(m, k), after its checks."""
+    _require_window(m, k)
+    primes = window_primes_in_class(m * m * k, m)
+    return list(zip(primes, _inclusion_exclusion(m, k, primes)))
+
+
+def _delta(m: int, k: int) -> float:
+    """The kernel of delta_statistic and eta_statistic, unchecked."""
+    n = m * m * k
+    s = sum(math.sqrt(4 * n - (p - 1 - n) ** 2) for p in window_primes_in_class(n, m))
+    return euler_phi(m) * math.log(2 * n) / n * s
 
 
 def delta_statistic(m: int, k: int) -> float:
@@ -234,17 +282,13 @@ def delta_statistic(m: int, k: int) -> float:
     p = 1 (mod m); the radicand equals (p - N^-)(N^+ - p) exactly.
     """
     require_shape(m, k)
-    n = m * m * k
-    s = sum(
-        math.sqrt(4 * n - (p - 1 - n) ** 2) for p in window_primes_in_class(n, m)
-    )
-    return euler_phi(m) * math.log(2 * n) / n * s
+    return _delta(m, k)
 
 
 def eta_statistic(n: int) -> float:
     """Same normalized sum with every window prime counted: delta_statistic(1, n)."""
     require_int(n, 1, "order")
-    return delta_statistic(1, n)
+    return _delta(1, n)
 
 
 # --- brute-force oracle ----------------------------------------------------

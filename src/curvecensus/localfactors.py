@@ -22,7 +22,15 @@ T(n), P(l) and the 2-adic constant script J are the local sums the
 main-term analysis rests on.  Each has a closed form, which production
 uses, and an enumeration route from the definition (for script J, the
 counts J_r(v) level by level), the oracle that `verify local` and the
-tests compare it with.
+tests compare it with.  The enumerations and powers are bounded:
+t_of_n refuses a modulus n above T_MODULUS_CAP, t_closed_form an exponent
+w above T_EXPONENT_CAP and j_r_v a level v above J_LEVEL_CAP, each before
+any loop or power.
+
+Each exported function checks its arguments once, through the arith
+checks, and then calls a private kernel that checks nothing; a sum over
+terms (the P(l) series over T(l^w), script J over the counts J_r(v)) sums
+the kernel, so a request checks each value where it enters.
 """
 
 from __future__ import annotations
@@ -37,6 +45,11 @@ from .arith import (euler_phi, factorize, kronecker, require_int, require_prime,
 C2 = 0.66016181584686957
 # prod over all primes l of 1 - 1/((l-1)^2 (l+1)), the constant at N = 1
 A = 0.61513265731817180
+# bounds of the local sums: t_of_n walks n residues, t_closed_form builds ell^(w-1)
+# and j_r_v walks 2^(2v+3) residues
+T_MODULUS_CAP = 2**16
+T_EXPONENT_CAP = 64
+J_LEVEL_CAP = 8
 
 
 def aut_order(m: int, k: int) -> int:
@@ -116,7 +129,7 @@ def main_term(n: int, aut: int, constant: float) -> float:
 def t_of_n(n: int, m: int, k: int) -> int:
     """T(n) by enumeration: over squares d = j^2 mod n, the Kronecker symbol
     (d - 4k / n) counted at each j with N + 1 + jm coprime to n."""
-    require_int(n, 1, "modulus")
+    require_int(n, 1, "modulus", T_MODULUS_CAP)
     require_shape(m, k)
     big_n = m * m * k
     total = 0
@@ -139,13 +152,14 @@ def _require_local_prime(ell: int, m: int, k: int) -> None:
 def t_closed_form(ell: int, w: int, m: int, k: int) -> int:
     """T(ell^w) in closed form, valid for primes ell not dividing 2k."""
     _require_local_prime(ell, m, k)
-    require_int(w, 1, "exponent")
-    big_n = m * m * k
-    head = -(kronecker(m * (big_n - 1), ell) ** 2)
-    if w % 2 == 0:
-        head += ell - 1 - kronecker(k, ell)
-    else:
-        head += -1
+    require_int(w, 1, "exponent", T_EXPONENT_CAP)
+    return _t_closed_form(ell, w, m, k)
+
+
+def _t_closed_form(ell: int, w: int, m: int, k: int) -> int:
+    """The kernel of t_closed_form, unchecked."""
+    head = -(kronecker(m * (m * m * k - 1), ell) ** 2)
+    head += ell - 1 - kronecker(k, ell) if w % 2 == 0 else -1
     return ell ** (w - 1) * head
 
 
@@ -168,10 +182,8 @@ def p_of_ell_series(ell: int, m: int, k: int) -> Fraction:
     """Partial sum of the P(ell) series through T(ell^12), exact."""
     _require_local_prime(ell, m, k)
     sm = kronecker(m, ell) ** 2
-    total = Fraction(1)
-    for w in range(1, 13):
-        total += Fraction(t_closed_form(ell, w, m, k), ell ** (2 * w - 1) * (ell - sm))
-    return total
+    return 1 + sum(Fraction(_t_closed_form(ell, w, m, k), ell ** (2 * w - 1) * (ell - sm))
+                   for w in range(1, 13))
 
 
 # --- 2-adic counts ----------------------------------------------------------
@@ -182,8 +194,13 @@ def j_r_v(r: int, v: int, m: int, k: int) -> int:
     and jm even."""
     if type(r) is not int or r not in (0, 1, 4, 5):
         raise ValueError(f"residue class r must be in {{0, 1, 4, 5}}, got {r}")
-    require_int(v, 0, "level v")
+    require_int(v, 0, "level v", J_LEVEL_CAP)
     require_shape(m, k)
+    return _j_r_v(r, v, m, k)
+
+
+def _j_r_v(r: int, v: int, m: int, k: int) -> int:
+    """The kernel of j_r_v, unchecked."""
     modulus = 2 ** (2 * v + 3)
     target = (4 * k + 4**v * r) % modulus
     count = 0
@@ -198,7 +215,7 @@ def _script_j_level(v: int, m: int, k: int) -> Fraction:
     v0 = 3 if m % 2 == 0 else 2
     total = Fraction(0)
     for r in (0, 1, 4, 5):
-        total += Fraction(j_r_v(r, v, m, k), 2 - kronecker(r, 2))
+        total += Fraction(_j_r_v(r, v, m, k), 2 - kronecker(r, 2))
     return total / 2 ** (v0 - 1)
 
 

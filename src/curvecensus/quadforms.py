@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .arith import kronecker, require_int, sieving_primes
+from .arith import kronecker, require_int, sieving_primes, valuation
 
 
 class LSeriesValue(NamedTuple):
@@ -69,23 +69,6 @@ def reduced_forms(d: int) -> Iterator[tuple[int, int, int]]:
                 yield (a, b, c)
 
 
-def _root_count(d: int, ell: int, j: int) -> int:
-    """N_d(ell^j) = #{x mod ell^j : x^2 = d (mod ell^j)} for a prime ell."""
-    count = 1
-    while j > 0:
-        if d % ell:
-            if ell == 2:  # 1, 2 [d = 1 mod 4], 4 [d = 1 mod 8] for j = 1, 2, >= 3
-                return count * (1, 2 * (d % 4 == 1), 4 * (d % 8 == 1))[min(j, 3) - 1]
-            return count * (2 if pow(d % ell, ell >> 1, ell) == 1 else 0)  # 1 + (d/ell)
-        if d % ell**j == 0:
-            return count * ell ** (j // 2)
-        if d % (ell * ell):
-            return 0  # ell exactly divides d and j >= 2
-        # x = ell y with y^2 = d/ell^2 (mod ell^(j-2)), y taken mod ell^(j-1)
-        count, d, j = count * ell, d // (ell * ell), j - 2
-    return count
-
-
 def _root_counts(d: int, top: int) -> list[int]:
     """g[a] = N_d(4a)/2 for 0 <= a <= top, and g[0] = 0.
 
@@ -109,17 +92,26 @@ def _root_counts(d: int, top: int) -> list[int]:
             else:
                 g[ell::ell] = [0] * (top // ell)
             continue
-        # 2 and the primes dividing d: the count depends on the power
-        shift = 2 if ell == 2 else 0  # g(2^v) = N_d(2^(v+2))/2
-        prev, q, j = _root_count(d, ell, shift), ell, 1
+        # 2 and the primes dividing d, where N_d(ell^i) depends on the power i: with
+        # d = ell^v u, ell not dividing u, it is ell^(i//2) up to i = v; past v it is 0
+        # at odd v, else ell^(v/2) times the roots of u mod ell^(i-v), which are
+        # 1 + (u/ell) at odd ell and 1, 2 [u = 1 mod 4], 4 [u = 1 mod 8] mod 2, 4, 8...
+        v = valuation(ell, -d)
+        u = d // ell**v
+        unit = ((1, 2 * (u % 4 == 1), 4 * (u % 8 == 1)) if ell == 2
+                else (2 * (pow(u % ell, ell >> 1, ell) == 1),))
+        # g(q) = N_d(ell^i) / N_d(ell^(i-j)) at q = ell^j: i = j at odd ell, and i = j + 2
+        # at ell = 2, over N_d(4) = 2; prev holds N_d(ell^(i-1))
+        i, prev, q = (3, 2, 2) if ell == 2 else (1, 1, ell)
         while q <= top:
-            cur = _root_count(d, ell, j + shift)
+            cur = (ell ** (i // 2) if i <= v else 0 if v % 2
+                   else ell ** (v // 2) * unit[min(i - v, len(unit)) - 1])
             if not cur:
                 g[q::q] = [0] * (top // q)
                 break
             if cur != prev:
-                g[q::q] = [v * cur // prev for v in g[q::q]]
-            prev, q, j = cur, q * ell, j + 1
+                g[q::q] = [x * cur // prev for x in g[q::q]]
+            prev, q, i = cur, q * ell, i + 1
     return g
 
 

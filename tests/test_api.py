@@ -36,13 +36,18 @@ def test_out_of_domain_arguments_raise_value_error():
         (curvecensus.m_of_order, (True,)),  # a bool is not the integer 1
         (localfactors.t_of_n, (1, 0, 1)),  # m = 0 is not a shape
         (localfactors.j_r_v, (0, 0, 0, 0)),
+        # the local sums refuse past their caps before any loop or power
+        (localfactors.t_of_n, (localfactors.T_MODULUS_CAP + 1, 1, 1)),
+        (localfactors.t_closed_form, (5, localfactors.T_EXPONENT_CAP + 1, 1, 1)),
+        (localfactors.j_r_v, (0, localfactors.J_LEVEL_CAP + 1, 1, 1)),
         (curvecensus.aut_order, (1.0, 1)),
         (curvecensus.main_term, (2, 0, 1.0)),  # #Aut >= 1
         (curvecensus.main_term, (2, -1, 1.0)),
         (curvecensus.m_of_group, ("x", 1)),
         (arith.euler_phi, (True,)),
         (curvecensus.is_prime, (1.0,)),
-        (curves.trace_discriminant, (1, 1, 1)),
+        (curves.window_terms, (1, True)),
+        (curves.inclusion_exclusion_terms, (0, 1)),
         (curves.m_p_of_order, (4, 1, "x")),
         (curvecensus.inclusion_exclusion_check, (1, 1, 4)),
         (curvecensus.euler_density, (4, 1, "x")),
@@ -67,6 +72,8 @@ def test_out_of_domain_arguments_raise_value_error():
         curvecensus.main_term(2, 0, 1.0)
     with pytest.raises(ValueError, match=r"^4 is not prime$"):
         localfactors.p_of_ell(4, 1, 1)
+    with pytest.raises(ValueError, match=r"^level v must be <= 8, got 9$"):
+        localfactors.j_r_v(0, 9, 1, 1)
     with pytest.raises(ValueError, match=r"^invalid shape \(x, 1\)$"):
         curvecensus.m_of_group("x", 1)
     # k is named before a bad d, and before an empty list is read

@@ -1,3 +1,4 @@
+import collections
 import csv
 import hashlib
 import io
@@ -255,6 +256,34 @@ def test_verify_classnumbers_detects_mismatch(capsys, monkeypatch):
     assert [r for r in doc["rows"] if not r[3]] == [["twelfths d=-23 k=1", "19", "18", False]]
 
 
+def test_verify_classnumbers_detects_an_inclusion_exclusion_mismatch(capsys, monkeypatch):
+    # the M_p(G) column comes from window_terms, one call per shape
+    real = curves.window_terms
+    monkeypatch.setattr(curves, "window_terms", lambda m, k: [
+        (p, t + Fraction((m, k, p) == (1, 2, 3), 12)) for p, t in real(m, k)])
+    code, out = run_cli(capsys, ["--format", "json", "verify", "classnumbers", "--nmax", "30"])
+    assert code == 1
+    doc = json.loads(out)
+    jsonschema.validate(doc, load_schema())
+    assert doc["mismatches"] == 1
+    assert [r for r in doc["rows"] if not r[3]] == [
+        ["inclusion-exclusion m=1 k=2 p=3", "1/2", "7/12", False]]
+
+
+def test_verify_local_detects_a_series_mismatch(capsys, monkeypatch):
+    # one P(l) series off by more than its tail bound 2/l^12
+    real = localfactors.p_of_ell_series
+    monkeypatch.setattr(localfactors, "p_of_ell_series", lambda ell, m, k: real(ell, m, k)
+                        + Fraction((ell, m, k) == (5, 2, 3), 5**10))
+    code, out = run_cli(capsys, ["--format", "json", "verify", "local"])
+    assert code == 1
+    doc = json.loads(out)
+    jsonschema.validate(doc, load_schema())
+    assert doc["mismatches"] == 1
+    [row] = [r for r in doc["rows"] if not r[3]]
+    assert row[:2] == ["P l=5 m=2 k=3", cli._fmt_frac(localfactors.p_of_ell(5, 2, 3))]
+
+
 def test_verify_local_detects_a_two_adic_mismatch(capsys, monkeypatch):
     real = localfactors.script_j_by_levels
     monkeypatch.setattr(localfactors, "script_j_by_levels",
@@ -271,7 +300,8 @@ def test_constants_runs_no_two_adic_enumeration(capsys, monkeypatch):
     def refuse(*args):
         raise RuntimeError("constants reached the 2-adic enumeration")
 
-    monkeypatch.setattr(localfactors, "j_r_v", refuse)
+    # the kernel that both j_r_v and the level sums of script_j_by_levels call
+    monkeypatch.setattr(localfactors, "_j_r_v", refuse)
     code, out = run_cli(capsys, ["constants", "--m", "1", "--k", "3"])
     assert code == 0
     assert ["two_adic_constant", "2/3"] in list(csv.reader(io.StringIO(out)))
@@ -516,6 +546,34 @@ def test_verify_identity_makes_no_primality_test(capsys, monkeypatch):
     code, _ = run_cli(capsys, ["--format", "json", "verify", "identity", "--nmax", "1200"])
     assert code == 0
     assert calls == []
+
+
+def test_verify_classnumbers_makes_no_primality_test(capsys, monkeypatch):
+    # both columns read each window once, from the sieve, through window_terms and
+    # inclusion_exclusion_terms, so no window prime is tested again
+    calls = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
+    code, _ = run_cli(capsys, ["--format", "json", "verify", "classnumbers", "--nmax", "500"])
+    assert code == 0
+    assert calls == []
+
+
+def test_verify_local_checks_each_argument_once(capsys, monkeypatch):
+    # one check per exported call: t_closed_form, p_of_ell and p_of_ell_series check their
+    # prime, and those three, t_of_n, script_j and script_j_by_levels their shape; the
+    # series and the level sums call the unchecked kernels
+    counts = collections.Counter()
+    for name in ("require_prime", "require_shape"):
+        def counted(*args, _name=name, _real=getattr(arith, name)):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(localfactors, name, counted)
+    code, out = run_cli(capsys, ["verify", "local"])
+    assert code == 0
+    rows = collections.Counter(line.split(" ", 1)[0] for line in out.splitlines()[1:])
+    assert rows == {"T": 1108, "P": 90, "scriptJ": 64}
+    assert counts == {"require_prime": 1108 + 90 + 90, "require_shape": 2 * (1108 + 90 + 64)}
 
 
 def test_mn_route_disagreement_exits_1(capsys, monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from curvecensus import curves, matrixcounts, quadforms
-from curvecensus.arith import primes_in_ap, primes_up_to
+from curvecensus.arith import is_prime, primes_in_ap, primes_up_to
 from curvecensus.curves import (
     GroupShape,
     brute_force_tally,
@@ -19,7 +19,6 @@ from curvecensus.curves import (
     m_of_order_routes,
     m_p_of_group,
     m_p_of_order,
-    trace_discriminant,
     window_primes_in_class,
 )
 
@@ -41,7 +40,7 @@ def test_hasse_window_membership_is_strict():
             assert (p - 1 - n) ** 2 < 4 * n
         # no window prime escapes the scan
         for p in range(2, n + 2 * math.isqrt(n) + 4):
-            if (p - 1 - n) ** 2 < 4 * n and curves.is_prime(p):
+            if (p - 1 - n) ** 2 < 4 * n and is_prime(p):
                 assert p in primes, (n, p)
 
 
@@ -59,26 +58,30 @@ def test_window_bounds_hold_exactly_the_window():
             assert window_primes_in_class(n, m) == _window_primes_by_filter(n, m), (n, m)
 
 
+# d(p) has no exported entry: the kernel serves every window sum and is tested here
+
+
 def test_trace_discriminant_examples():
-    assert trace_discriminant(1, 1, 2) == -4
-    assert trace_discriminant(2, 1, 5) == -4
-    assert trace_discriminant(1, 4, 3) == -12
+    assert curves._trace_discriminants(1, 1, [2]) == [-4]
+    assert curves._trace_discriminants(2, 1, [5]) == [-4]
+    assert curves._trace_discriminants(1, 4, [3, 5, 7]) == [-12, -16, -12]
+    # at the shape (nt, n/nt^2) it is ((p-1-n)^2 - 4n)/nt^2
+    assert curves._trace_discriminants(2, 3, [7, 13, 19]) == [(p - 13) ** 2 // 4 - 12
+                                                               for p in (7, 13, 19)]
 
 
 def test_trace_discriminant_rejects():
-    with pytest.raises(ValueError):
-        trace_discriminant(2, 1, 2)  # 2 != 1 mod 2
-    with pytest.raises(ValueError):
-        trace_discriminant(1, 1, 11)  # outside the window of N=1
+    assert curves._window_test(2, 1, 2) == []  # 2 != 1 mod 2
+    assert curves._window_test(1, 1, 11) == []  # outside the window of N=1
+    assert curves._window_test(3, 1, 7) == [7]
+    assert curves._window_test(1, 1, 1) == [1]  # the test reads the window, not primality
 
 
 def test_trace_discriminant_is_discriminant():
     for m in range(1, 5):
         for k in range(1, 30):
-            n = m * m * k
-            for p in curves.window_primes_in_class(n, m):
-                d = trace_discriminant(m, k, p)
-                assert d < 0 and d % 4 in (0, 1), (m, k, p, d)
+            for d in curves._window_discriminants(m, k):
+                assert d < 0 and d % 4 in (0, 1), (m, k, d)
 
 
 def test_m_p_of_group_examples():
@@ -99,7 +102,8 @@ def test_m_of_group_examples():
 
 def test_bad_shapes_are_refused_before_any_arithmetic():
     probes = [(m_of_group, (0, 1)), (delta_statistic, (0, 1)), (m_p_of_group, (0, 1, 5)),
-              (trace_discriminant, (0, 1, 5)), (m_of_group, (1, 0)), (m_of_group, (-1, 3))]
+              (curves.window_terms, (0, 1)), (curves.inclusion_exclusion_terms, (1, 0)),
+              (m_of_group, (1, 0)), (m_of_group, (-1, 3))]
     for func, args in probes:
         with pytest.raises(ValueError, match=r"^invalid shape \(-?\d+, -?\d+\)$"):
             func(*args)
@@ -117,8 +121,13 @@ def test_m_of_group_is_the_sum_of_its_prime_terms():
     # the twelfths sum divides by 12 once; the per-prime terms are Fractions
     for m in range(1, 4):
         for k in range(1, 201):
-            terms = [m_p_of_group(m, k, p) for p in window_primes_in_class(m * m * k, m)]
+            primes = window_primes_in_class(m * m * k, m)
+            terms = [m_p_of_group(m, k, p) for p in primes]
             assert m_of_group(m, k) == sum(terms, Fraction(0)), (m, k)
+            # the window forms give the per-prime values of both sides
+            assert curves.window_terms(m, k) == list(zip(primes, terms)), (m, k)
+            assert curves.inclusion_exclusion_terms(m, k) == [
+                (p, inclusion_exclusion_check(m, k, p)) for p in primes], (m, k)
 
 
 def test_window_scan_bound(monkeypatch):
@@ -239,7 +248,7 @@ def test_inclusion_exclusion_matches_group_count():
 def test_lower_bound_from_level_one():
     # the f=1 level alone already contributes h/w
     for m, k, p in [(1, 5, 5), (2, 3, 13), (1, 12, 11), (3, 2, 19)]:
-        d = trace_discriminant(m, k, p)
+        d, = curves._trace_discriminants(m, k, curves._window_test(m, k, p))
         # h/w = H_|d|(d)
         assert m_p_of_group(m, k, p) >= Fraction(quadforms.class_number_twelfths(d, -d), 12)
 

@@ -184,18 +184,13 @@ def test_twelfths_with_many_primes_in_the_restriction():
             assert class_number_twelfths(d, k) == 12 * kronecker_class_number_weighted(d, k), (d, k)
 
 
-def _window_discriminants(m, k):
-    n = m * m * k
-    return [curves.trace_discriminant(m, k, p) for p in curves.window_primes_in_class(n, m)]
-
-
 def test_twelfths_sum_matches_the_weighted_walk_over_windows():
     # window lists where k shares a square with d: k even with d = 0 mod 4, and
     # k divisible by the square of an odd q
     cases = [(1, k) for k in (1, 2, 4, 8, 12, 16, 18, 36, 45, 50, 72, 75, 98, 99, 100, 225)]
     cases += [(m, k) for m in (2, 3, 5) for k in (1, 2, 4, 9, 12, 25, 36)]
     for m, k in cases:
-        ds = _window_discriminants(m, k)
+        ds = curves._window_discriminants(m, k)
         assert any(math.gcd(d, k) > 1 for d in ds) or k == 1
         want = sum(12 * kronecker_class_number_weighted(d, k) for d in ds)
         assert class_number_twelfths_sum(ds, k) == want, (m, k)
@@ -203,10 +198,10 @@ def test_twelfths_sum_matches_the_weighted_walk_over_windows():
             want = sum(12 * kronecker_class_number_weighted(d, r) for d in ds)
             assert class_number_twelfths_sum(ds, r) == want, (m, k, r)
     # the shared squares the cases above must meet
-    assert any(d % 4 == 0 for d in _window_discriminants(1, 16))
-    assert any(d % 9 == 0 for d in _window_discriminants(1, 45))
+    assert any(d % 4 == 0 for d in curves._window_discriminants(1, 16))
+    assert any(d % 9 == 0 for d in curves._window_discriminants(1, 45))
     assert class_number_twelfths_sum([], 5) == 0
-    ds = _window_discriminants(1, 36)
+    ds = curves._window_discriminants(1, 36)
     assert class_number_twelfths_sum(iter(ds), 36) == class_number_twelfths_sum(ds, 36) > 0
 
 
