@@ -2,9 +2,11 @@
 
 Subcommands: mg (count by group shape), mn (count by order), grid (shape
 table), constants (local constants for a shape/order), matrix (one matrix
-count), verify (dual-route suites).  Each quantity and each comparison of
-two routes is computed in the library module that owns it; the commands
-only format it.  Output is CSV or JSON with a fixed column order and floats
+count), verify (dual-route suites).  Each quantity is computed in the
+library module that owns it, and the commands format it.  The verify
+suites compare the two routes here: _check tests exact equality, and
+_suite_local accepts P(l) when its series lies within 2/l^12 of the closed
+form; mn's two routes of M(n) are compared in curves.  Output is CSV or JSON with a fixed column order and floats
 printed to 10 significant digits, so identical invocations are
 byte-identical.  The k_*_truncated cells print the constants K in closed
 form, the twin-prime constant times a finite rational, so no Euler product

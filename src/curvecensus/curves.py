@@ -8,16 +8,19 @@ discriminant d(p) = ((p-1)/m - mk)^2 - 4k, and the count by order alone is
 H((p-1-N)^2 - 4N).  Weighted means each isomorphism class counts 1/#Aut.
 The window integers are exactly those with |p - 1 - N| <= isqrt(4N - 1), so
 the primes 1 mod m among them come from one sieve of that range, memoized
-per (N, m) for the other callers of the same order; a window sum hands its
-d(p) to one class_number_twelfths_sum call and divides by 12 once.
+per (N, m) for the other callers of the same order.  Every count goes
+through one window kernel, which hands the d(p) of a list of window primes
+to one class_number_twelfths_terms call and gets 12 H_r(d(p)) back for
+each p: a window sum adds them and divides by 12 once.
 
 Each exported function checks its arguments once and then calls private
-kernels that check nothing: one kernel computes d(p) over a list of
-window primes, and a single prime p is the window [p] or [] after one
-window test, so M_p(G) is the window sum over that one-prime window.
+kernels that check nothing, and quadforms checks the restriction once per
+window.  A single prime p is the window [p] or [] after one window test,
+so M_p(G) and M_p(N; nt) are window sums over that one-prime window.
 window_terms and inclusion_exclusion_terms give M_p(G) and its
-inclusion-exclusion at every prime of a window after one check, and the
-routes of M(n) check n alone, as every shape of n lies inside its bounds.
+inclusion-exclusion at every prime of a window after one check, the
+latter with one window sum per Moebius level, and the routes of M(n)
+check n alone, as every shape of n lies inside its bounds.
 
 brute_force_tally is the independent oracle: it enumerates Weierstrass
 equations over F_p, counts points directly, reads off the group shape from
@@ -44,7 +47,7 @@ from typing import NamedTuple
 
 from .arith import (FACTOR_BOUND, euler_phi, factorize, mobius, primes_in_ap,
                     require_int, require_prime, require_shape, require_torsion, square_divisors)
-from .quadforms import CLASS_SCAN_CAP, class_number_twelfths, class_number_twelfths_sum
+from .quadforms import CLASS_SCAN_CAP, class_number_twelfths_terms
 
 ORDER_BOUND = 2**40
 # candidates in the whole Hasse window of ORDER_BOUND, the widest scan allowed
@@ -90,7 +93,18 @@ def _trace_discriminants(m: int, k: int, primes: list[int]) -> list[int]:
     ((p-1-n)^2 - 4n)/nt^2, the discriminant of the curves of order n with
     full nt-torsion.
     """
-    return [((p - 1) // m - m * k) ** 2 - 4 * k for p in primes]
+    # (p-1)/m - mk = (p - 1 - m^2 k)/m, one division per prime
+    c, k4 = m * m * k + 1, 4 * k
+    return [(t := (p - c) // m) * t - k4 for p in primes]
+
+
+def _window_twelfths(m: int, k: int, primes: list[int], r: int) -> list[int]:
+    """12 H_r(d(p)) at each of primes, window primes p = 1 (mod m) of m^2 k, unchecked.
+
+    The one window kernel: every count makes one class-number call per window,
+    at r = k for M(G) and at r = 1 for the count by order alone.
+    """
+    return class_number_twelfths_terms(_trace_discriminants(m, k, primes), r)
 
 
 def _window_test(m: int, k: int, p: int) -> list[int]:
@@ -103,8 +117,7 @@ def m_p_of_group(m: int, k: int, p: int) -> Fraction:
     of m_of_group over the one-prime window of p."""
     require_shape(m, k)
     require_prime(p)
-    ds = _trace_discriminants(m, k, _window_test(m, k, p))
-    return Fraction(class_number_twelfths_sum(ds, k), 12)
+    return Fraction(sum(_window_twelfths(m, k, _window_test(m, k, p), k)), 12)
 
 
 def require_scannable(k: int) -> None:
@@ -132,7 +145,7 @@ def _require_window(m: int, k: int) -> None:
 def m_of_group(m: int, k: int) -> Fraction:
     """Weighted count over all primes: sum of m_p_of_group over the window."""
     _require_window(m, k)
-    return Fraction(class_number_twelfths_sum(_window_discriminants(m, k), k), 12)
+    return Fraction(sum(_window_twelfths(m, k, window_primes_in_class(m * m * k, m), k)), 12)
 
 
 def window_terms(m: int, k: int) -> list[tuple[int, Fraction]]:
@@ -140,14 +153,7 @@ def window_terms(m: int, k: int) -> list[tuple[int, Fraction]]:
     of m^2 k, ascending in p, after the checks of m_of_group."""
     _require_window(m, k)
     primes = window_primes_in_class(m * m * k, m)
-    return [(p, Fraction(class_number_twelfths(d, k), 12))
-            for p, d in zip(primes, _trace_discriminants(m, k, primes))]
-
-
-def _window_discriminants(m: int, k: int) -> list[int]:
-    """The d(p) of the window primes p = 1 (mod m) of m^2 k, ascending in p, unchecked."""
-    # every window prime is 1 mod m, so each d(p) is a discriminant
-    return _trace_discriminants(m, k, window_primes_in_class(m * m * k, m))
+    return [(p, Fraction(t, 12)) for p, t in zip(primes, _window_twelfths(m, k, primes, k))]
 
 
 def _window_range(n: int, m: int) -> tuple[int, int]:
@@ -183,18 +189,12 @@ def _window_primes(n: int, m: int) -> tuple[int, ...]:
     return tuple(primes_in_ap(lo, hi, m, 1))
 
 
-def _order_twelfths(n: int, nt: int, p: int) -> int:
-    """12 M_p(n; nt), the kernel of m_p_of_order: the one-prime window sum of
-    12 H(d(p)) at the shape (nt, n/nt^2)."""
-    k = n // (nt * nt)
-    return class_number_twelfths_sum(_trace_discriminants(nt, k, _window_test(nt, k, p)), 1)
-
-
 def m_p_of_order(n: int, nt: int, p: int) -> Fraction:
     """Weighted count of curves over F_p with order n and full nt-torsion."""
     require_torsion(n, nt)
     require_prime(p)
-    return Fraction(_order_twelfths(n, nt, p), 12)
+    k = n // (nt * nt)
+    return Fraction(sum(_window_twelfths(nt, k, _window_test(nt, k, p), 1)), 12)
 
 
 def order_decomposition(n: int) -> list[tuple[int, int]]:
@@ -205,18 +205,18 @@ def order_decomposition(n: int) -> list[tuple[int, int]]:
 def _order_routes(n: int) -> tuple[Fraction, Fraction, list[tuple[int, int, int]]]:
     """M(n) by window primes, M(n) by shapes, and the terms (m, k, 12 M(Z/m x Z/mk)).
 
-    The window of the shape (1, n) is checked and its d(p) = (p-1-n)^2 - 4n
-    read first and once, so its bounds refuse an n before any class number,
-    and bound every other shape of n: unrestricted they sum to M(n) by
-    primes, restricted to n to the term at m = 1.  Every other term is the
-    sum over its own window that m_of_group divides by 12.
+    The window of the shape (1, n) is checked and its primes read first and
+    once, so its bounds refuse an n before any class number, and bound every
+    other shape of n: the window kernel at r = 1 sums to M(n) by primes, and
+    at r = n to the term at m = 1.  Every other term is the sum over its own
+    window that m_of_group divides by 12.
     """
     require_int(n, 1, "order")
     _window_range(n, 1)
     require_scannable(n)
-    whole = _window_discriminants(1, n)
-    by_primes = class_number_twelfths_sum(whole, 1)
-    terms = [(m, k, class_number_twelfths_sum(whole if m == 1 else _window_discriminants(m, k), k))
+    whole = window_primes_in_class(n, 1)
+    by_primes = sum(_window_twelfths(1, n, whole, 1))
+    terms = [(m, k, sum(_window_twelfths(m, k, whole if m == 1 else window_primes_in_class(n, m), k)))
              for m, k in order_decomposition(n)]
     return Fraction(by_primes, 12), Fraction(sum(t for _, _, t in terms), 12), terms
 
@@ -246,18 +246,23 @@ def m_of_order(n: int) -> Fraction:
 
 
 def _inclusion_exclusion(m: int, k: int, primes: list[int]) -> list[Fraction]:
-    """Sum over r^2 | k of mu(r) M_p(m^2 k; rm) at each p of primes, unchecked."""
-    levels = [(mu, r * m) for r in square_divisors(k) if (mu := mobius(r))]
-    n = m * m * k
-    return [Fraction(sum(mu * _order_twelfths(n, nt, p) for mu, nt in levels), 12)
-            for p in primes]
+    """Sum over r^2 | k of mu(r) M_p(m^2 k; rm) at each p of primes, window primes
+    p = 1 (mod m) of m^2 k, unchecked: one window sum per level rm, over the p = 1 (mod rm)."""
+    totals = dict.fromkeys(primes, 0)
+    for r in square_divisors(k):
+        if mu := mobius(r):
+            nt = r * m
+            level = [p for p in primes if p % nt == 1 % nt]
+            for p, t in zip(level, _window_twelfths(nt, k // (r * r), level, 1)):
+                totals[p] += mu * t
+    return [Fraction(t, 12) for t in totals.values()]
 
 
 def inclusion_exclusion_check(m: int, k: int, p: int) -> Fraction:
     """Right side of M_p(G) = sum over r^2 | k of mu(r) M_p(N; rm)."""
     require_shape(m, k)
     require_prime(p)
-    return _inclusion_exclusion(m, k, [p])[0]
+    return sum(_inclusion_exclusion(m, k, _window_test(m, k, p)), Fraction(0))
 
 
 def inclusion_exclusion_terms(m: int, k: int) -> list[tuple[int, Fraction]]:

@@ -5,16 +5,18 @@ number of primitive reduced forms (a, b, c) with b^2 - 4ac = d, and unit
 count w(d) = 6, 4, 2 for d = -3, -4, anything else.  The weighted class
 number H(D) sums h(D/f^2)/w(D/f^2) over all f with f^2 | D and D/f^2 still a
 discriminant; H_k(D) additionally requires gcd(f, k) = 1, so H_|D|(D) is
-h(D)/w(D).  Every w divides 12, so class_number_twelfths_sum returns the
-integer sum of 12 H_k(d) over a list of discriminants, the one class-number
-route, of which class_number_twelfths is the case of one d.  H_k(D) is also
-computable in a single pass over all reduced forms of discriminant D
-(imprimitive ones included), weighting a form of content f by 1/4 when it is
-f*(x^2 + y^2), by 1/6 when it is f*(x^2 + xy + y^2), and by 1/2 otherwise;
-both routes are exposed and must agree.
+h(D)/w(D).  Every w divides 12, so class_number_twelfths_terms returns the
+integers 12 H_k(d) for a list of discriminants after one check of k, the
+one class-number route, of which class_number_twelfths is the case of one
+d.  H_k(D) is also computable in a single pass over all reduced forms of
+discriminant D (imprimitive ones included), weighting a form of content f
+by 1/4 when it is f*(x^2 + y^2), by 1/6 when it is f*(x^2 + xy + y^2), and
+by 1/2 otherwise; both routes are exposed and must agree.
 
 L(1, (d/.)) is available two ways: exactly through the class number
 formula, and as a truncated Dirichlet series with a rigorous tail bound.
+No command reads l_value_exact or l_value_series: they are test oracles,
+read only by acceptance criterion 7 and tests/test_quadforms.py.
 
 Class numbers live in one in-process store, the per-discriminant memo
 _cache of 12 H(d).  Each entry counts the reduced forms of d by leading
@@ -161,14 +163,15 @@ def _twelfths(d: int) -> int:
     return hit
 
 
-def class_number_twelfths_sum(discriminants: Iterable[int], k: int) -> int:
-    """The sum of 12 H_k(d) over the discriminants d, an integer.
+def class_number_twelfths_terms(discriminants: Iterable[int], k: int) -> list[int]:
+    """12 H_k(d) at each of the discriminants d, a list of integers.
 
     k is checked first, then the whole list: the first bad d raises what
     class_number_twelfths(d, k) raises.  12 H_k(d) is the sum of
     mu(g) 12 H(d/g^2) over the squarefree g | k with d/g^2 a discriminant,
     so only the d with gcd(d, k) > 1 add more than their memo entry; the
-    primes of k are found once per call.
+    primes of k are found once per call, and a d listed twice is corrected
+    twice.
     """
     require_int(k, 1, "restriction parameter")
     ds = list(discriminants)  # read more than once below
@@ -179,26 +182,25 @@ def class_number_twelfths_sum(discriminants: Iterable[int], k: int) -> int:
         for d in [d for d, t in zip(ds, twelfths) if t is None]:
             _require_discriminant(d)
         twelfths = [t or _twelfths(d) for d, t in zip(ds, twelfths)]
-    total = sum(twelfths)
     if k > 1 and ds:
-        # (mu(g) g, the d with g^2 | d) for each squarefree g | k that has such d,
+        # (mu(g) g, the i with g^2 | ds[i]) for each squarefree g | k that has such d,
         # from the primes p | k with p^2 <= |d|
-        levels = [(1, ds)]
+        levels = [(1, range(len(ds)))]
         for p in sieving_primes(math.isqrt(-min(ds))):
             if k % p == 0:
                 pp = p * p
-                levels += [(-p * g, sub) for g, dd in levels
-                           if (sub := [d for d in dd if d % pp == 0])]
-        for g, dd in levels[1:]:
+                levels += [(-p * g, sub) for g, ii in levels
+                           if (sub := [i for i in ii if ds[i] % pp == 0])]
+        for g, ii in levels[1:]:
             gg = g * g
-            part = sum([get(d0) or _twelfths(d0) for d in dd if (d0 := d // gg) % 4 < 2])
-            total += part if g > 0 else -part
-    return total
+            for i, t in [(i, get(d0) or _twelfths(d0)) for i in ii if (d0 := ds[i] // gg) % 4 < 2]:
+                twelfths[i] += t if g > 0 else -t
+    return twelfths
 
 
 def class_number_twelfths(d: int, k: int) -> int:
     """12 H_k(d), an integer, as each w(d/f^2) in {2, 4, 6} divides 12."""
-    return class_number_twelfths_sum((d,), k)
+    return class_number_twelfths_terms((d,), k)[0]
 
 
 def kronecker_class_number_weighted(d: int, k: int) -> Fraction:

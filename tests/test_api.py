@@ -78,7 +78,7 @@ def test_out_of_domain_arguments_raise_value_error():
         curvecensus.m_of_group("x", 1)
     # k is named before a bad d, and before an empty list is read
     with pytest.raises(ValueError, match="restriction parameter must be >= 1"):
-        quadforms.class_number_twelfths_sum([-5], 0)
+        quadforms.class_number_twelfths_terms([-5], 0)
 
 
 # Boundary values: the small ints, the discriminants -3 and -4 (so the class-number

@@ -559,6 +559,17 @@ def test_verify_classnumbers_makes_no_primality_test(capsys, monkeypatch):
     assert calls == []
 
 
+def test_verify_classnumbers_checks_each_restriction_once_per_window(capsys, monkeypatch):
+    # each window and each Moebius level checks its k once: 2,996 checks are the suite's
+    # 1,498 twelfths rows, one per route, and the other 1,934 one per window or level
+    calls = []
+    real = arith.require_int
+    monkeypatch.setattr(quadforms, "require_int", lambda *args: calls.append(args[2]) or real(*args))
+    code, _ = run_cli(capsys, ["--format", "json", "verify", "classnumbers", "--nmax", "500"])
+    assert code == 0
+    assert calls.count("restriction parameter") <= 4930
+
+
 def test_verify_local_checks_each_argument_once(capsys, monkeypatch):
     # one check per exported call: t_closed_form, p_of_ell and p_of_ell_series check their
     # prime, and those three, t_of_n, script_j and script_j_by_levels their shape; the

@@ -80,8 +80,32 @@ def test_trace_discriminant_rejects():
 def test_trace_discriminant_is_discriminant():
     for m in range(1, 5):
         for k in range(1, 30):
-            for d in curves._window_discriminants(m, k):
+            for d in curves._trace_discriminants(m, k, window_primes_in_class(m * m * k, m)):
                 assert d < 0 and d % 4 in (0, 1), (m, k, d)
+
+
+def test_each_window_and_level_makes_one_class_number_call(monkeypatch):
+    calls = []
+    real = curves.class_number_twelfths_terms
+    monkeypatch.setattr(curves, "class_number_twelfths_terms",
+                        lambda ds, k: calls.append(k) or real(ds, k))
+
+    def calls_of(func, *args):
+        calls.clear()
+        func(*args)
+        return list(calls)
+
+    assert calls_of(m_of_group, 2, 3000) == [3000]
+    assert calls_of(curves.window_terms, 2, 3000) == [3000]
+    assert calls_of(m_p_of_group, 2, 3000, 11783) == [3000]
+    assert calls_of(m_p_of_order, 36, 2, 37) == [1]
+    # the window of (1, n) at r = 1 and at r = n, then one window per other shape
+    assert calls_of(m_of_order_routes, 36) == [1, 36, 9, 4, 1]
+    # one window per squarefree r with r^2 | k, each at r = 1
+    for m, k in [(1, 1), (1, 16), (1, 36), (2, 72), (3, 2000), (1, 2310), (5, 72)]:
+        levels = 2 ** sum(k % (q * q) == 0 for q in primes_up_to(math.isqrt(k)))
+        assert calls_of(curves.inclusion_exclusion_terms, m, k) == [1] * levels, (m, k)
+        assert calls_of(inclusion_exclusion_check, m, k, 7) == [1] * levels, (m, k)
 
 
 def test_m_p_of_group_examples():

@@ -2,11 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvecensus import curves, quadforms
 from curvecensus.quadforms import (
     class_number_twelfths,
-    class_number_twelfths_sum,
+    class_number_twelfths_terms,
     kronecker_class_number_weighted,
     l_value_exact,
     l_value_series,
@@ -184,28 +186,69 @@ def test_twelfths_with_many_primes_in_the_restriction():
             assert class_number_twelfths(d, k) == 12 * kronecker_class_number_weighted(d, k), (d, k)
 
 
-def test_twelfths_sum_matches_the_weighted_walk_over_windows():
+def _window_discriminants(m, k):
+    return curves._trace_discriminants(m, k, curves.window_primes_in_class(m * m * k, m))
+
+
+def test_twelfths_terms_match_the_weighted_walk_over_windows():
     # window lists where k shares a square with d: k even with d = 0 mod 4, and
     # k divisible by the square of an odd q
     cases = [(1, k) for k in (1, 2, 4, 8, 12, 16, 18, 36, 45, 50, 72, 75, 98, 99, 100, 225)]
     cases += [(m, k) for m in (2, 3, 5) for k in (1, 2, 4, 9, 12, 25, 36)]
     for m, k in cases:
-        ds = curves._window_discriminants(m, k)
+        ds = _window_discriminants(m, k)
         assert any(math.gcd(d, k) > 1 for d in ds) or k == 1
-        want = sum(12 * kronecker_class_number_weighted(d, k) for d in ds)
-        assert class_number_twelfths_sum(ds, k) == want, (m, k)
-        for r in (1, 3, 4, 9, 2 * k):
-            want = sum(12 * kronecker_class_number_weighted(d, r) for d in ds)
-            assert class_number_twelfths_sum(ds, r) == want, (m, k, r)
+        for r in (k, 1, 3, 4, 9, 2 * k):
+            want = [12 * kronecker_class_number_weighted(d, r) for d in ds]
+            assert class_number_twelfths_terms(ds, r) == want, (m, k, r)
     # the shared squares the cases above must meet
-    assert any(d % 4 == 0 for d in curves._window_discriminants(1, 16))
-    assert any(d % 9 == 0 for d in curves._window_discriminants(1, 45))
-    assert class_number_twelfths_sum([], 5) == 0
-    ds = curves._window_discriminants(1, 36)
-    assert class_number_twelfths_sum(iter(ds), 36) == class_number_twelfths_sum(ds, 36) > 0
+    assert any(d % 4 == 0 for d in _window_discriminants(1, 16))
+    assert any(d % 9 == 0 for d in _window_discriminants(1, 45))
+    assert class_number_twelfths_terms([], 5) == []
+    ds = _window_discriminants(1, 36)
+    terms = class_number_twelfths_terms(ds, 36)
+    assert class_number_twelfths_terms(iter(ds), 36) == terms and sum(terms) > 0
 
 
-def test_twelfths_sum_checks_the_whole_list_first():
+@st.composite
+def _twelfths_lists(draw):
+    """(ds, k, warm): k with two or three primes, discriminants |d| <= 2000 whose
+    square part shares them, some listed twice, and the d to memoize first."""
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7)), min_size=2, max_size=3, unique=True))
+    k = math.prod(primes) * draw(st.sampled_from((1, 1, 2, 3)))
+    squares = sorted({g for g in (1, *primes, *(p * q for p in primes for q in primes))
+                      if 3 * g * g <= 2000})
+    ds = []
+    for g in draw(st.lists(st.sampled_from(squares), max_size=6)):
+        n0 = draw(st.integers(3, 2000 // (g * g)).filter(lambda n: n % 4 in (0, 3)))
+        ds.append(-g * g * n0)
+    if ds:
+        ds += draw(st.lists(st.sampled_from(ds), max_size=3))  # repeated d
+        ds = draw(st.permutations(ds))
+    warm = draw(st.lists(st.sampled_from(ds), max_size=3)) if ds else []
+    return ds, k, warm
+
+
+@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+@given(_twelfths_lists())
+def test_twelfths_terms_are_the_one_element_calls(case):
+    ds, k, warm = case
+    cached = dict(quadforms._cache)
+    quadforms._cache.clear()
+    try:
+        # memo hits and misses in one list
+        for d in warm:
+            class_number_twelfths(d, 1)
+        terms = class_number_twelfths_terms(ds, k)
+        assert terms == [12 * kronecker_class_number_weighted(d, k) for d in ds], (ds, k)
+        assert terms == [class_number_twelfths(d, k) for d in ds], (ds, k)
+        assert all(type(t) is int for t in terms)
+    finally:
+        quadforms._cache.clear()
+        quadforms._cache.update(cached)
+
+
+def test_twelfths_terms_check_the_whole_list_first():
     cached = dict(quadforms._cache)
     quadforms._cache.clear()
     try:
@@ -216,17 +259,17 @@ def test_twelfths_sum_checks_the_whole_list_first():
                                ([-quadforms.CLASS_SCAN_CAP, -5], 1, "reaches the cap"),
                                ([], 0, "restriction parameter must be >= 1, got 0")]:
             with pytest.raises(ValueError, match=message):
-                class_number_twelfths_sum(ds, k)
+                class_number_twelfths_terms(ds, k)
             assert quadforms._cache == {}, ds
         # the first bad d names the error, as class_number_twelfths(d, k) would
         with pytest.raises(ValueError, match="-5 is not"):
-            class_number_twelfths_sum([-4, -5, -2**30], 1)
+            class_number_twelfths_terms([-4, -5, -2**30], 1)
         # memo hits need no check, but a bad d after them is still refused
-        assert class_number_twelfths_sum([-3, -4], 1) == 2 + 3
+        assert class_number_twelfths_terms([-3, -4], 1) == [2, 3]
         for ds, k, message in [([-3, -4, -5], 1, "-5 is not"), ([-3, -4], 0, "got 0"),
                                ([-4, -3, -quadforms.CLASS_SCAN_CAP], 2, "reaches the cap")]:
             with pytest.raises(ValueError, match=message):
-                class_number_twelfths_sum(ds, k)
+                class_number_twelfths_terms(ds, k)
         assert set(quadforms._cache) == {-3, -4}
     finally:
         quadforms._cache.update(cached)
