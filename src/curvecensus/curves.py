@@ -11,7 +11,8 @@ the primes 1 mod m among them come from one sieve of that range, memoized
 per (N, m) for the other callers of the same order.  Every count goes
 through one window kernel, which hands the d(p) of a list of window primes
 to one class_number_twelfths_terms call and gets 12 H_r(d(p)) back for
-each p: a window sum adds them and divides by 12 once.
+each p: a window sum adds them and divides by 12 once.  The routes of M(n)
+read the d(p) of the window of (1, n) once, for the calls at r = 1 and r = n.
 
 Each exported function checks its arguments once and then calls private
 kernels that check nothing, and quadforms checks the restriction once per
@@ -23,8 +24,9 @@ latter with one window sum per Moebius level, and the routes of M(n)
 check n alone, as every shape of n lies inside its bounds.
 
 brute_force_tally is the independent oracle: it enumerates Weierstrass
-equations over F_p, counts points directly, reads off the group shape from
-the exponent, and applies the mass formula (each class corresponds to
+equations over F_p, counts points directly, reads off the group shape
+Z/m x Z/mk of order n as the largest square divisor f of n with (n/f) P = O
+at every point P, and applies the mass formula (each class corresponds to
 (p-1)/#Aut short-Weierstrass pairs for p > 3, and to (p-1)p^3/#Aut general
 quintuples for p in {2, 3}).  For p > 3 the pairs isomorphic to (a, b) are
 its orbit (u^4 a, u^6 b), u in F_p*: the oracle counts the points of one
@@ -32,9 +34,9 @@ pair per orbit and weights that group by the orbit's size over p - 1.
 Both scans add points by one chord-and-tangent law for the long form
 y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6, the short form being
 a1 = a2 = a3 = 0, and divide through a table of inverses mod p built once
-per prime.  Either way the weights add up to p, and a scan whose mass is
-not p raises ConsistencyError, which this module defines for every check of
-one route against another.
+per prime.  Either way the weights add up to p and every shape has
+m | p - 1; a scan that breaks either raises ConsistencyError, which this
+module defines for every check of one route against another.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import (FACTOR_BOUND, euler_phi, factorize, mobius, primes_in_ap,
+from .arith import (FACTOR_BOUND, euler_phi, mobius, primes_in_ap,
                     require_int, require_prime, require_shape, require_torsion, square_divisors)
 from .quadforms import CLASS_SCAN_CAP, class_number_twelfths_terms
 
@@ -58,9 +60,9 @@ ORACLE_PRIME_CAP = 127
 class ConsistencyError(ArithmeticError):
     """Two independent computation routes that must agree exactly did not.
 
-    Raised when the M(n) routes, the oracle's exponent or the oracle's mass
-    check fail; this always signals an implementation bug, never bad user
-    input.
+    Raised when the M(n) routes disagree, or when the oracle's mass is not p
+    or one of its shapes has m not dividing p - 1; this always signals an
+    implementation bug, never bad user input.
     """
 
 
@@ -102,7 +104,8 @@ def _window_twelfths(m: int, k: int, primes: list[int], r: int) -> list[int]:
     """12 H_r(d(p)) at each of primes, window primes p = 1 (mod m) of m^2 k, unchecked.
 
     The one window kernel: every count makes one class-number call per window,
-    at r = k for M(G) and at r = 1 for the count by order alone.
+    at r = k for M(G) and at r = 1 for the count by order alone; the routes of
+    M(n) call quadforms directly for the window of (1, n), at r = 1 and r = n.
     """
     return class_number_twelfths_terms(_trace_discriminants(m, k, primes), r)
 
@@ -205,18 +208,19 @@ def order_decomposition(n: int) -> list[tuple[int, int]]:
 def _order_routes(n: int) -> tuple[Fraction, Fraction, list[tuple[int, int, int]]]:
     """M(n) by window primes, M(n) by shapes, and the terms (m, k, 12 M(Z/m x Z/mk)).
 
-    The window of the shape (1, n) is checked and its primes read first and
-    once, so its bounds refuse an n before any class number, and bound every
-    other shape of n: the window kernel at r = 1 sums to M(n) by primes, and
-    at r = n to the term at m = 1.  Every other term is the sum over its own
-    window that m_of_group divides by 12.
+    The window of the shape (1, n) is checked and its primes and d(p) read
+    first and once, so its bounds refuse an n before any class number, and
+    bound every other shape of n: its 12 H_r(d(p)) at r = 1 sum to M(n) by
+    primes, and at r = n to the term at m = 1.  Every other term is the sum
+    over its own window that m_of_group divides by 12.
     """
     require_int(n, 1, "order")
     _window_range(n, 1)
     require_scannable(n)
-    whole = window_primes_in_class(n, 1)
-    by_primes = sum(_window_twelfths(1, n, whole, 1))
-    terms = [(m, k, sum(_window_twelfths(m, k, whole if m == 1 else window_primes_in_class(n, m), k)))
+    ds = _trace_discriminants(1, n, window_primes_in_class(n, 1))
+    by_primes = sum(class_number_twelfths_terms(ds, 1))
+    terms = [(m, k, sum(class_number_twelfths_terms(ds, n) if m == 1 else
+                        _window_twelfths(m, k, window_primes_in_class(n, m), k)))
              for m, k in order_decomposition(n)]
     return Fraction(by_primes, 12), Fraction(sum(t for _, _, t in terms), 12), terms
 
@@ -325,13 +329,13 @@ def _add(a1: int, a2: int, a3: int, a4: int, p: int, inv: list[int], pt1, pt2):
 
 
 def _group_shape(points: list[tuple[int, int]], n: int, add) -> GroupShape:
-    """Shape (m, k) from the exponent, via orders of the affine points.
+    """Shape (m, k) of a group of order n = m^2 k, from its affine points.
 
     add(P, Q) is the curve's group law; None encodes the point at infinity.
-    n is the full group order, n = m^2 k with exponent mk.
+    The group Z/m x Z/mk has exponent mk = n/m, so (n/f) P = O at every point
+    exactly when f | m, and m is itself a square divisor of n: the descent
+    over the square divisors f of n stops at f = m (Silverman, AEC III.6).
     """
-    fac = factorize(n).factors
-
     def mult(t: int, pt):
         acc = None
         while True:
@@ -342,26 +346,9 @@ def _group_shape(points: list[tuple[int, int]], n: int, add) -> GroupShape:
                 return acc
             pt = add(pt, pt)
 
-    def order(pt) -> int:
-        o = n
-        for q, e in fac:
-            o //= q**e
-            r = mult(o, pt)
-            while r is not None:
-                r = mult(q, r)
-                o *= q
-        return o
-
-    lam = 1
-    for pt in points:
-        if mult(lam, pt) is not None:
-            lam = math.lcm(lam, order(pt))
-            if lam == n:
-                break
-    m = n // lam
-    if lam % m:
-        raise ConsistencyError(f"exponent {lam} incompatible with order {n}")
-    return GroupShape(m, lam // m)
+    for f in reversed(square_divisors(n)):
+        if f == 1 or all(mult(n // f, pt) is None for pt in points):
+            return GroupShape(f, n // (f * f))
 
 
 def _tally_large(p: int, inv: list[int]) -> CurveTally:
@@ -427,7 +414,8 @@ def _tally_small(p: int, inv: list[int]) -> CurveTally:
 
 def _tally(p: int, counts: dict[GroupShape, int], scans_per_class: int,
            scanned: str) -> CurveTally:
-    """Weights count / scans_per_class per shape, sorted, whose mass must be p.
+    """Weights count / scans_per_class per shape, sorted, whose mass must be p
+    and each of whose shapes (m, k) must have m | p - 1 (the Weil pairing).
 
     scans_per_class is the number of scanned equations a class of weight 1
     stands for; scanned says what the scan met, for the ConsistencyError.
@@ -436,6 +424,10 @@ def _tally(p: int, counts: dict[GroupShape, int], scans_per_class: int,
     total = Fraction(sum(counts.values()), scans_per_class)
     if total != p:
         raise ConsistencyError(f"oracle mass {total} != {p} ({scanned})")
+    for m, k in entries:
+        if (p - 1) % m:
+            raise ConsistencyError(f"oracle shape m={m} k={k} at p={p}: "
+                                   f"m does not divide p - 1 = {p - 1}")
     return CurveTally(p, entries, total)
 
 

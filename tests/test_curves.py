@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import itertools
 import math
@@ -7,6 +8,7 @@ import pytest
 
 from curvecensus import curves, matrixcounts, quadforms
 from curvecensus.arith import is_prime, primes_in_ap, primes_up_to
+from curvecensus.cli import main
 from curvecensus.curves import (
     GroupShape,
     brute_force_tally,
@@ -205,13 +207,17 @@ def test_window_sums_refuse_the_scan_cap_up_front():
 
 def test_order_routes_read_each_window_once(monkeypatch):
     # 36 has the shapes (1, 36), (2, 9), (3, 4) and (6, 1): one window each, the
-    # window of (1, 36) serving both the sum over primes and the term at m = 1
-    calls = []
-    real = curves.window_primes_in_class
+    # window of (1, 36) and its one d(p) list serving both the sum over primes
+    # and the term at m = 1
+    calls, d_lists = [], []
+    real, real_ds = curves.window_primes_in_class, curves._trace_discriminants
     monkeypatch.setattr(curves, "window_primes_in_class",
                         lambda n, m: calls.append((n, m)) or real(n, m))
+    monkeypatch.setattr(curves, "_trace_discriminants",
+                        lambda m, k, primes: d_lists.append((m, k)) or real_ds(m, k, primes))
     by_primes, by_shapes = curves.m_of_order_routes(36)
     assert calls == [(36, 1), (36, 2), (36, 3), (36, 6)]
+    assert d_lists == [(1, 36), (2, 9), (3, 4), (6, 1)]
     assert by_primes == by_shapes
 
 
@@ -391,22 +397,63 @@ def _check_group_law(p, a1, a2, a3, a4, a6):
                 assert table[row[j]][k] == row[table[j][k]], (curve, i, j, k)
 
 
+def _nonsingular_curves(p):
+    """Every nonsingular (a1, a2, a3, a4, a6) over F_p for p <= 3, and (0, 0, 0, a, b) above."""
+    if p > 3:
+        return [(0, 0, 0, a, b) for a, b in itertools.product(range(p), repeat=2)
+                if (4 * a**3 + 27 * b * b) % p]
+    out = []
+    for a1, a2, a3, a4, a6 in itertools.product(range(p), repeat=5):
+        b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+        if (-b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6) % p:
+            out.append((a1, a2, a3, a4, a6))
+    return out
+
+
 def test_group_law_axioms_on_small_curves():
-    for p in (2, 3):
-        for a1, a2, a3, a4, a6 in itertools.product(range(p), repeat=5):
-            b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
-            b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-            if (-b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6) % p:
-                _check_group_law(p, a1, a2, a3, a4, a6)
-    for p in (5, 7):
-        for a, b in itertools.product(range(p), repeat=2):
-            if (4 * a**3 + 27 * b * b) % p:
-                _check_group_law(p, 0, 0, 0, a, b)
+    for p in (2, 3, 5, 7):
+        for curve in _nonsingular_curves(p):
+            _check_group_law(p, *curve)
 
 
 def test_orbit_tally_equals_per_pair_scan(oracle_tallies):
     for p in primes_up_to(31)[2:]:
         assert oracle_tallies[p].entries == _per_pair_tally(p), p
+
+
+def _point_orders_shape(points, add):
+    """(n / lam, lam^2 / n), lam the lcm of the point orders found by repeated addition."""
+    lam = 1
+    for pt in points:
+        q, order = pt, 1
+        while q is not None:
+            q, order = add(q, pt), order + 1
+        lam = math.lcm(lam, order)
+    n = len(points) + 1
+    return (n // lam, lam * lam // n)
+
+
+def test_group_shape_matches_the_lcm_of_point_orders():
+    for p in (2, 3, 5, 7, 11, 13):
+        inv = [0] + [pow(v, -1, p) for v in range(1, p)]
+        scanned = _nonsingular_curves(p)
+        assert len(scanned) == (p - 1) * p ** (4 if p <= 3 else 1), p
+        for a1, a2, a3, a4, a6 in scanned:
+            points = [(x, y) for x in range(p) for y in range(p)
+                      if (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0]
+            add = functools.partial(curves._add, a1, a2, a3, a4, p, inv)
+            want = _point_orders_shape(points, add)
+            assert curves._group_shape(points, len(points) + 1, add) == want, (p, a1, a2, a3, a4, a6)
+
+
+def test_oracle_refuses_a_shape_with_m_not_dividing_p_minus_1(monkeypatch, capsys):
+    monkeypatch.setattr(curves, "_group_shape", lambda *args: GroupShape(3, 1))
+    with pytest.raises(curves.ConsistencyError, match=r"m=3 k=1 at p=5: m does not divide p - 1 = 4"):
+        brute_force_tally(5)
+    assert main(["verify", "oracle", "--pmax", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 def test_oracle_runs_one_group_law_per_isomorphism_class(monkeypatch):
