@@ -302,10 +302,11 @@ def primes_in_ap(lo: int, hi: int, m: int, a: int) -> list[int]:
     hi <= 2^12 the primes are read by bisection from sieving_primes(hi).
     Above, the progression is sieved by the primes q <= B, taken from
     sieving_primes(B), one slice assignment per q striking the multiples of
-    q other than q itself, where B is sqrt(hi - 1) or the number of terms,
-    whichever is less.  A survivor below (B + 1)^2 is prime; one above it,
-    left only in a progression with fewer terms than sqrt(hi - 1), is
-    confirmed by is_prime.
+    q other than q itself.  B is sqrt(hi - 1) when that is below both 8 times
+    the number of terms and SIEVE_CAP, so the sieve proves every survivor
+    prime; else B is the number of terms, since sieving on would thin the
+    survivors only by a log factor, and is_prime confirms the survivors
+    above (B + 1)^2.
     """
     require_int(m, 1, "primes_in_ap: modulus")
     if lo > hi:
@@ -324,7 +325,7 @@ def primes_in_ap(lo: int, hi: int, m: int, a: int) -> list[int]:
     count = len(range(start, hi, m))
     if not count:
         return []
-    bound = min(math.isqrt(hi - 1), count)
+    bound = r if (r := math.isqrt(hi - 1)) < min(8 * count, SIEVE_CAP) else count
     alive = bytearray([1]) * count
     for q in sieving_primes(bound):
         if q > bound:

@@ -7,8 +7,9 @@ window (p - 1 - N)^2 < 4N; there the weighted count of classes with group
 discriminant d(p) = ((p-1)/m - mk)^2 - 4k, and the count by order alone is
 H((p-1-N)^2 - 4N).  Weighted means each isomorphism class counts 1/#Aut.
 The window integers are exactly those with |p - 1 - N| <= isqrt(4N - 1), so
-the primes 1 mod m among them come from one sieve of that range, memoized
-per (N, m) for the other callers of the same order.  Every count goes
+the primes 1 mod m among them come from one sieve of that range, made where
+the window is read.  As (p - 1 - N)^2 - 4N = (N - 1 - p)^2 - 4p, the same
+bounds around p give the orders N of the curves over F_p.  Every count goes
 through one window kernel, which hands the d(p) of a list of window primes
 to one class_number_twelfths_terms call and gets 12 H_r(d(p)) back for
 each p: a window sum adds them and divides by 12 once.  The routes of M(n)
@@ -136,26 +137,26 @@ def require_scannable(k: int) -> None:
         )
 
 
-def _require_window(m: int, k: int) -> None:
-    """The checks of a sum over the window of a shape, before any candidate is tested:
-    the shape, the window scan (OverflowError), the window's reach of 2^64, then the
-    class-number scan cap (ValueError)."""
+def _checked_window(m: int, k: int) -> list[int]:
+    """The window primes p = 1 (mod m) of m^2 k, ascending, after the checks of a
+    sum over them, before any candidate is tested: the shape, the window scan
+    (OverflowError), the window's reach of 2^64, then the class-number scan cap
+    (ValueError)."""
     require_shape(m, k)
-    _window_range(m * m * k, m)
+    lo, hi = _window_range(m * m * k, m)
     require_scannable(k)
+    return primes_in_ap(lo, hi, m, 1)
 
 
 def m_of_group(m: int, k: int) -> Fraction:
     """Weighted count over all primes: sum of m_p_of_group over the window."""
-    _require_window(m, k)
-    return Fraction(sum(_window_twelfths(m, k, window_primes_in_class(m * m * k, m), k)), 12)
+    return Fraction(sum(_window_twelfths(m, k, _checked_window(m, k), k)), 12)
 
 
 def window_terms(m: int, k: int) -> list[tuple[int, Fraction]]:
     """The pairs (p, m_p_of_group(m, k, p)) over the window primes p = 1 (mod m)
     of m^2 k, ascending in p, after the checks of m_of_group."""
-    _require_window(m, k)
-    primes = window_primes_in_class(m * m * k, m)
+    primes = _checked_window(m, k)
     return [(p, Fraction(t, 12)) for p, t in zip(primes, _window_twelfths(m, k, primes, k))]
 
 
@@ -179,17 +180,10 @@ def _window_range(n: int, m: int) -> tuple[int, int]:
 def window_primes_in_class(n: int, m: int) -> list[int]:
     """Window primes of n that are 1 mod m, ascending; m = 1 gives them all.
 
-    A fresh list each call.  A scan with more candidates than the whole
+    A fresh sieve each call.  A scan with more candidates than the whole
     window of ORDER_BOUND raises OverflowError before any candidate is tested.
     """
-    return list(_window_primes(n, m))
-
-
-@functools.lru_cache(maxsize=32)
-def _window_primes(n: int, m: int) -> tuple[int, ...]:
-    # the callers of one order ask for the same few windows: one sieve each
-    lo, hi = _window_range(n, m)
-    return tuple(primes_in_ap(lo, hi, m, 1))
+    return primes_in_ap(*_window_range(n, m), m, 1)
 
 
 def m_p_of_order(n: int, nt: int, p: int) -> Fraction:
@@ -215,9 +209,7 @@ def _order_routes(n: int) -> tuple[Fraction, Fraction, list[tuple[int, int, int]
     over its own window that m_of_group divides by 12.
     """
     require_int(n, 1, "order")
-    _window_range(n, 1)
-    require_scannable(n)
-    ds = _trace_discriminants(1, n, window_primes_in_class(n, 1))
+    ds = _trace_discriminants(1, n, _checked_window(1, n))
     by_primes = sum(class_number_twelfths_terms(ds, 1))
     terms = [(m, k, sum(class_number_twelfths_terms(ds, n) if m == 1 else
                         _window_twelfths(m, k, window_primes_in_class(n, m), k)))
@@ -272,8 +264,7 @@ def inclusion_exclusion_check(m: int, k: int, p: int) -> Fraction:
 def inclusion_exclusion_terms(m: int, k: int) -> list[tuple[int, Fraction]]:
     """The pairs (p, inclusion_exclusion_check(m, k, p)) over the primes of
     window_terms(m, k), after its checks."""
-    _require_window(m, k)
-    primes = window_primes_in_class(m * m * k, m)
+    primes = _checked_window(m, k)
     return list(zip(primes, _inclusion_exclusion(m, k, primes)))
 
 
@@ -328,13 +319,14 @@ def _add(a1: int, a2: int, a3: int, a4: int, p: int, inv: list[int], pt1, pt2):
     return (x3, (lam * (x1 - x3) - y1 - a1 * x3 - a3) % p)
 
 
-def _group_shape(points: list[tuple[int, int]], n: int, add) -> GroupShape:
-    """Shape (m, k) of a group of order n = m^2 k, from its affine points.
+def _group_shape(points: list[tuple[int, int]], descent: list[int], add) -> GroupShape:
+    """Shape (m, k) of the group of order n = len(points) + 1 = m^2 k, from its affine points.
 
     add(P, Q) is the curve's group law; None encodes the point at infinity.
-    The group Z/m x Z/mk has exponent mk = n/m, so (n/f) P = O at every point
-    exactly when f | m, and m is itself a square divisor of n: the descent
-    over the square divisors f of n stops at f = m (Silverman, AEC III.6).
+    descent is the square divisors of n, descending.  The group Z/m x Z/mk has
+    exponent mk = n/m, so (n/f) P = O at every point exactly when f | m, and m
+    is itself a square divisor of n: the descent stops at f = m (Silverman,
+    AEC III.6).
     """
     def mult(t: int, pt):
         acc = None
@@ -346,12 +338,13 @@ def _group_shape(points: list[tuple[int, int]], n: int, add) -> GroupShape:
                 return acc
             pt = add(pt, pt)
 
-    for f in reversed(square_divisors(n)):
+    n = len(points) + 1
+    for f in descent:
         if f == 1 or all(mult(n // f, pt) is None for pt in points):
             return GroupShape(f, n // (f * f))
 
 
-def _tally_large(p: int, inv: list[int]) -> CurveTally:
+def _tally_large(p: int, inv: list[int], descents: dict[int, list[int]]) -> CurveTally:
     """Short Weierstrass scan for p > 3: y^2 = x^3 + ax + b, weight 1/(p-1).
 
     The first pair of each orbit {(u^4 a, u^6 b) : u in F_p*} met in the scan
@@ -382,12 +375,12 @@ def _tally_large(p: int, inv: list[int]) -> CurveTally:
                 t = (cubes[x] + a * x + b) % p
                 for y in sqrt_of[t]:
                     points.append((x, y))
-            shape = _group_shape(points, len(points) + 1, add)
+            shape = _group_shape(points, descents[len(points) + 1], add)
             counts[shape] = counts.get(shape, 0) + len(orbit)
     return _tally(p, counts, p - 1, f"{singular} singular pairs")
 
 
-def _tally_small(p: int, inv: list[int]) -> CurveTally:
+def _tally_small(p: int, inv: list[int], descents: dict[int, list[int]]) -> CurveTally:
     """Full Weierstrass scan for p in {2, 3}, weight 1/((p-1) p^3)."""
     counts: dict[GroupShape, int] = {}
     nonsingular = 0
@@ -407,7 +400,7 @@ def _tally_small(p: int, inv: list[int]) -> CurveTally:
             if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % p == 0
         ]
         add = functools.partial(_add, a1, a2, a3, a4, p, inv)
-        shape = _group_shape(points, len(points) + 1, add)
+        shape = _group_shape(points, descents[len(points) + 1], add)
         counts[shape] = counts.get(shape, 0) + 1
     return _tally(p, counts, (p - 1) * p**3, f"{nonsingular} nonsingular quintuples")
 
@@ -432,21 +425,23 @@ def _tally(p: int, counts: dict[GroupShape, int], scans_per_class: int,
 
 
 def brute_force_tally(p: int) -> CurveTally:
-    """Exhaustive weighted census of elliptic curves over F_p (oracle)."""
+    """Exhaustive weighted census of elliptic curves over F_p (oracle).
+
+    Every group order lies in the window of p, so the descent of each order,
+    its square divisors from the largest down, is built once per prime.
+    """
     require_prime(p)
     if p > ORACLE_PRIME_CAP:
         raise ValueError(f"oracle prime {p} exceeds the cap {ORACLE_PRIME_CAP}")
     inv = [0] + [pow(v, p - 2, p) for v in range(1, p)]
-    return _tally_small(p, inv) if p <= 3 else _tally_large(p, inv)
+    lo, hi = _window_range(p, 1)
+    descents = {n: square_divisors(n)[::-1] for n in range(lo + 1, hi)}
+    return _tally_small(p, inv, descents) if p <= 3 else _tally_large(p, inv, descents)
 
 
 def admissible_shapes(p: int) -> list[GroupShape]:
-    """All shapes (m, k) a curve over F_p could realize, sorted."""
-    out = []
-    for n in range(max(1, p - 2 * math.isqrt(p)), p + 2 + 2 * math.isqrt(p) + 1):
-        if not in_hasse_window(n, p):
-            continue
-        for m, k in order_decomposition(n):
-            if p % m == 1 % m:
-                out.append(GroupShape(m, k))
-    return sorted(out)
+    """All shapes (m, k) a curve over F_p could realize, sorted: those with m | p - 1
+    of the orders in the window of p."""
+    lo, hi = _window_range(p, 1)
+    return sorted(GroupShape(m, k) for n in range(lo + 1, hi)
+                  for m, k in order_decomposition(n) if p % m == 1 % m)

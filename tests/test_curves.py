@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from curvecensus import curves, matrixcounts, quadforms
-from curvecensus.arith import is_prime, primes_in_ap, primes_up_to
+from curvecensus.arith import is_prime, primes_in_ap, primes_up_to, square_divisors
 from curvecensus.cli import main
 from curvecensus.curves import (
     GroupShape,
@@ -29,7 +29,6 @@ def test_hasse_window_examples():
     assert window_primes_in_class(1, 1) == [2, 3]
     assert window_primes_in_class(4, 1) == [2, 3, 5, 7]
     assert window_primes_in_class(121, 1) == [101, 103, 107, 109, 113, 127, 131, 137, 139]
-    # memoized per (n, m), but every call returns a list of its own
     window_primes_in_class(121, 1).append(0)
     assert window_primes_in_class(121, 1) == [101, 103, 107, 109, 113, 127, 131, 137, 139]
 
@@ -138,6 +137,23 @@ def test_bad_shapes_are_refused_before_any_arithmetic():
         matrixcounts.gl2_order(4, 1)
 
 
+def _admissible_shapes_by_filter(p):
+    # the orders n near p that pass the window test of p as an order, then their shapes
+    r = 2 * math.isqrt(p)
+    return sorted(GroupShape(m, k) for n in range(max(1, p - r), p + 3 + r)
+                  if in_hasse_window(n, p)
+                  for m, k in curves.order_decomposition(n) if p % m == 1 % m)
+
+
+def test_window_of_a_prime_holds_its_orders():
+    # (p - 1 - n)^2 - 4n = (n - 1 - p)^2 - 4p: the window test is symmetric in n and p
+    for n in range(1, 501):
+        for p in range(1, 501):
+            assert in_hasse_window(n, p) == in_hasse_window(p, n), (n, p)
+    for p in primes_up_to(2000):
+        assert curves.admissible_shapes(p) == _admissible_shapes_by_filter(p), p
+
+
 def test_m_of_group_bound_guard():
     with pytest.raises(OverflowError):
         m_of_group(1, 2**41)
@@ -206,17 +222,17 @@ def test_window_sums_refuse_the_scan_cap_up_front():
 
 
 def test_order_routes_read_each_window_once(monkeypatch):
-    # 36 has the shapes (1, 36), (2, 9), (3, 4) and (6, 1): one window each, the
-    # window of (1, 36) and its one d(p) list serving both the sum over primes
-    # and the term at m = 1
+    # 36 has the shapes (1, 36), (2, 9), (3, 4) and (6, 1): one sieve of each
+    # window, the window of (1, 36) and its one d(p) list serving both the sum
+    # over primes and the term at m = 1
     calls, d_lists = [], []
-    real, real_ds = curves.window_primes_in_class, curves._trace_discriminants
-    monkeypatch.setattr(curves, "window_primes_in_class",
-                        lambda n, m: calls.append((n, m)) or real(n, m))
+    real, real_ds = curves.primes_in_ap, curves._trace_discriminants
+    monkeypatch.setattr(curves, "primes_in_ap",
+                        lambda *args: calls.append(args) or real(*args))
     monkeypatch.setattr(curves, "_trace_discriminants",
                         lambda m, k, primes: d_lists.append((m, k)) or real_ds(m, k, primes))
     by_primes, by_shapes = curves.m_of_order_routes(36)
-    assert calls == [(36, 1), (36, 2), (36, 3), (36, 6)]
+    assert calls == [(*curves._window_range(36, m), m, 1) for m in (1, 2, 3, 6)]
     assert d_lists == [(1, 36), (2, 9), (3, 4), (6, 1)]
     assert by_primes == by_shapes
 
@@ -252,13 +268,25 @@ def test_shape_route_sums_the_window_of_each_shape(monkeypatch):
     # the routes check the values mg prints: each shape term comes from the
     # primes 1 mod m of its own window, not from a rearranged window of n
     asked = []
-    real = curves.window_primes_in_class
-    monkeypatch.setattr(curves, "window_primes_in_class",
-                        lambda n, m: asked.append((n, m)) or real(n, m))
+    real = curves.primes_in_ap
+    monkeypatch.setattr(curves, "primes_in_ap", lambda *args: asked.append(args) or real(*args))
     for n in (1, 36, 1000, 4900):
         asked.clear()
         m_of_order_routes(n)
-        assert sorted(set(asked)) == [(n, m) for m, _ in curves.order_decomposition(n)], n
+        assert sorted(set(asked)) == [(*curves._window_range(n, m), m, 1)
+                                      for m, _ in curves.order_decomposition(n)], n
+
+
+def test_window_sums_bound_each_window_once(monkeypatch):
+    # the checks and the sieve of a window sum read one pair of bounds
+    calls = []
+    real = curves._window_range
+    monkeypatch.setattr(curves, "_window_range", lambda n, m: calls.append((n, m)) or real(n, m))
+    for f, (m, k) in ((m_of_group, (2, 1009)), (curves.window_terms, (3, 1013)),
+                      (curves.inclusion_exclusion_terms, (1, 10007))):
+        calls.clear()
+        f(m, k)
+        assert calls == [(m * m * k, m)], f.__name__
 
 
 def test_inclusion_exclusion_examples():
@@ -368,7 +396,7 @@ def _per_pair_tally(p):
                 continue
             points = [(x, y) for x in range(p) for y in range(p)
                       if (y * y - x**3 - a * x - b) % p == 0]
-            shape = curves._group_shape(points, len(points) + 1, add)
+            shape = curves._group_shape(points, square_divisors(len(points) + 1)[::-1], add)
             counts[shape] = counts.get(shape, 0) + 1
     return {s: Fraction(c, p - 1) for s, c in counts.items()}
 
@@ -444,7 +472,8 @@ def test_group_shape_matches_the_lcm_of_point_orders():
                       if (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0]
             add = functools.partial(curves._add, a1, a2, a3, a4, p, inv)
             want = _point_orders_shape(points, add)
-            assert curves._group_shape(points, len(points) + 1, add) == want, (p, a1, a2, a3, a4, a6)
+            descent = square_divisors(len(points) + 1)[::-1]
+            assert curves._group_shape(points, descent, add) == want, (p, a1, a2, a3, a4, a6)
 
 
 def test_oracle_refuses_a_shape_with_m_not_dividing_p_minus_1(monkeypatch, capsys):
