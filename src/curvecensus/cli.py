@@ -12,9 +12,12 @@ byte-identical.  The k_*_truncated cells print the constants K in closed
 form, the twin-prime constant times a finite rational, so no Euler product
 is truncated.  Everything runs on one thread; --threads is accepted,
 validated and echoed in the JSON config for compatibility, and changes
-neither the work nor the output.  Class numbers are counted per
-discriminant on first use and memoized in memory for the run; nothing is
-cached on disk, and no command loads a module outside the standard library.
+neither the work nor the output.  Class numbers are memoized in memory for
+the run: verify identity fills the memo from one table of every
+discriminant down to -4 nmax (up to quadforms.TABLE_CAP) before its first
+row, and every other command, and any d past the cap, counts each
+discriminant on first use.  Nothing is cached on disk, and no command loads
+a module outside the standard library.
 The import loads only what a command uses: the records are named tuples,
 json is imported only for JSON output, and a CSV row is its cells joined
 by commas, since no cell holds a comma, quote or line break.
@@ -22,8 +25,9 @@ by commas, since no cell holds a comma, quote or line break.
 The argparse parser is the only place input is checked and the only
 dispatch table: its type converters bound every number and path, and each
 subcommand names its cmd_* function.  The global flags --format, --out
-and --threads are declared once, on the top-level parser, so they go
-before the subcommand; after it they are unrecognized arguments.  Exit
+and --threads are declared once, on a parent of the top-level parser, so
+they go before the subcommand; after it they are unrecognized arguments, as
+is an unknown option anywhere, which the error line names.  Exit
 codes: 0 success (and --help), 1 verification mismatch or disagreeing
 computation routes, 2 usage error.  Every usage error, whether from the
 parser, an unwritable or empty output path, a closed stdout, a
@@ -291,6 +295,7 @@ def _suite_constants(nmax: int, mmax: int, kmax: int, lmax: int) -> list[list]:
 
 
 def _suite_identity(nmax: int) -> list[list]:
+    quadforms.tabulate_twelfths(4 * nmax)  # the window of n reads -4n <= d < 0
     return [_check(f"n={n}", *curves.m_of_order_routes(n)) for n in range(1, nmax + 1)]
 
 
@@ -334,9 +339,24 @@ def cmd_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises each usage error as a ValueError, which main prints as one line."""
+    """Raises each usage error as a ValueError, which main prints as one line.
+
+    argparse sets an unknown option before the subcommand aside and reads the
+    argument after it as the subcommand.  That error names the arguments the
+    global flags leave over instead, up to the one read as the subcommand.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.argv = sys.argv[1:] if args is None else args
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
+        if message.startswith("argument command: invalid choice"):
+            rest = self.flags.parse_known_args(self.argv)[1]
+            # the first argument that is no option, such as 0 or -3, else the end
+            end = [a[:1] == "-" and not a[1:2].isdigit() for a in rest + [""]].index(False)
+            if end:
+                message = "unrecognized arguments: " + " ".join(rest[:end + 1])
         raise ValueError(message)
 
 
@@ -372,14 +392,14 @@ def _out_path(path: str) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="curvecensus",
-        description="Exact weighted counts of elliptic curve groups over prime fields.",
-    )
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--out", metavar="PATH", type=_out_path, default=None)
-    parser.add_argument("--threads", type=_int_in(1), default=1,
-                        help="accepted for compatibility; has no effect on the work or the output")
+    flags = _Parser(add_help=False)
+    flags.add_argument("--format", choices=["csv", "json"], default="csv")
+    flags.add_argument("--out", metavar="PATH", type=_out_path, default=None)
+    flags.add_argument("--threads", type=_int_in(1), default=1,
+                       help="accepted for compatibility; has no effect on the work or the output")
+    parser = _Parser(prog="curvecensus", parents=[flags], description=(
+        "Exact weighted counts of elliptic curve groups over prime fields."))
+    parser.flags = flags  # read alone by _Parser.error
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mg", help="weighted count for the group Z/m x Z/mk")

@@ -354,6 +354,21 @@ def test_usage_errors(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
 
 
+def test_unknown_option_before_the_subcommand_is_named(capsys):
+    # argparse would read the option's value as the subcommand
+    for args, named in [(["--seed", "0", "mg", "--m", "1", "--k", "1"], "--seed 0"),
+                        (["--cutoff", "1000", "mg", "--m", "1", "--k", "2"], "--cutoff 1000"),
+                        (["--format", "json", "--x", "-3", "mn", "--n", "4"], "--x -3"),
+                        (["mg", "--m", "1", "--k", "1", "--seed", "0"], "--seed 0")]:
+        assert cli.main(args) == cli.USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: unrecognized arguments: {named}\n", args
+    # an argument that is no option is still the subcommand
+    for args in (["bogus"], ["-3", "mg"], ["--format", "json", "0", "mg"]):
+        assert cli.main(args) == cli.USAGE_ERROR
+        assert capsys.readouterr().err.startswith("error: argument command: invalid choice: ")
+
+
 def test_help_exits_0(capsys):
     for args in (["--help"], ["verify", "--help"]):
         assert cli.main(args) == 0
@@ -546,6 +561,61 @@ def test_verify_identity_makes_no_primality_test(capsys, monkeypatch):
     code, _ = run_cli(capsys, ["--format", "json", "verify", "identity", "--nmax", "1200"])
     assert code == 0
     assert calls == []
+
+
+def _count_tables_and_form_counts(monkeypatch):
+    """Spy on quadforms: the bounds of the tables built and the d counted one at a time."""
+    tables, counted = [], []
+    build, count = quadforms.tabulate_twelfths, quadforms._reduced_form_count
+    monkeypatch.setattr(quadforms, "tabulate_twelfths", lambda x: tables.append(x) or build(x))
+    monkeypatch.setattr(quadforms, "_reduced_form_count", lambda d: counted.append(d) or count(d))
+    return tables, counted
+
+
+def test_verify_identity_reads_one_table(capsys, monkeypatch):
+    # the identity sweep tabulates every d >= -4 nmax once, before its first row, so no
+    # discriminant is counted on its own, even with a cold memo
+    cached = dict(quadforms._cache)
+    quadforms._cache.clear()
+    try:
+        tables, counted = _count_tables_and_form_counts(monkeypatch)
+        code, _ = run_cli(capsys, ["--format", "json", "verify", "identity", "--nmax", "1200"])
+        assert code == 0
+        assert tables == [4800] and counted == []
+    finally:
+        quadforms._cache.clear()
+        quadforms._cache.update(cached)
+
+
+@pytest.mark.parametrize("args", [["mn", "--n", "190000"], ["mg", "--m", "2", "--k", "2000"],
+                                  ["grid", "--mmax", "3", "--kmax", "16"],
+                                  ["verify", "classnumbers", "--nmax", "200"]])
+def test_single_windows_build_no_table(capsys, monkeypatch, args):
+    # these read single windows, and verify classnumbers checks the per-discriminant count
+    tables, _ = _count_tables_and_form_counts(monkeypatch)
+    code, _ = run_cli(capsys, args)
+    assert code == 0
+    assert tables == []
+
+
+def test_verify_identity_past_the_table_cap(capsys, monkeypatch):
+    # above the cap the sweep counts each discriminant on its own, with the same bytes
+    args = ["--format", "json", "verify", "identity", "--nmax", "60"]
+    cached = dict(quadforms._cache)
+    try:
+        quadforms._cache.clear()
+        _, full = run_cli(capsys, args)
+        quadforms._cache.clear()
+        monkeypatch.setattr(quadforms, "TABLE_CAP", 100)
+        _, counted = _count_tables_and_form_counts(monkeypatch)
+        code, capped = run_cli(capsys, args)
+        assert code == 0 and capped == full
+        above = {d for d in quadforms._cache if d < -100}
+        assert above and above <= set(counted)
+        assert all(d < -100 for d in counted)
+    finally:
+        quadforms._cache.clear()
+        quadforms._cache.update(cached)
 
 
 def test_verify_classnumbers_makes_no_primality_test(capsys, monkeypatch):

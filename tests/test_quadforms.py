@@ -275,6 +275,33 @@ def test_twelfths_terms_check_the_whole_list_first():
         quadforms._cache.update(cached)
 
 
+def test_table_matches_both_routes(monkeypatch):
+    # one walk over the reduced forms against the per-discriminant count and the
+    # weighted walk; the d = -3f^2 and -4f^2 entries carry the forms of weight 1/6, 1/4
+    cached = dict(quadforms._cache)
+    quadforms._cache.clear()
+    try:
+        ds = [d for d in range(-3, -20001, -1) if d % 4 in (0, 1)]
+        per_d = {d: quadforms._twelfths(d) for d in ds}
+        quadforms._cache.clear()
+        quadforms.tabulate_twelfths(20000)
+        assert quadforms._cache == per_d
+        for d in ds[:ds.index(-1000) + 1]:
+            assert quadforms._cache[d] == 12 * kronecker_class_number_weighted(d, 1), d
+        quadforms._cache.clear()
+        quadforms.tabulate_twelfths(3)
+        assert quadforms._cache == {-3: 2}
+        with pytest.raises(ValueError, match="table bound must be >= 1, got 0"):
+            quadforms.tabulate_twelfths(0)
+        # the cap bounds the table before it is built
+        monkeypatch.setattr(quadforms, "TABLE_CAP", 100)
+        quadforms.tabulate_twelfths(10**12)
+        assert quadforms._cache == {d: t for d, t in per_d.items() if d >= -100}
+    finally:
+        quadforms._cache.clear()
+        quadforms._cache.update(cached)
+
+
 def test_twelfths_reject_bad_input():
     with pytest.raises(ValueError):
         class_number_twelfths(-5, 1)
