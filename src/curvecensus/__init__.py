@@ -13,7 +13,7 @@ its module, such as curvecensus.arith.kronecker.
 
 from .arith import Factorization, factorize, is_prime
 from .curves import (ConsistencyError, CurveTally, GroupShape, brute_force_tally, delta_statistic,
-                     eta_statistic, inclusion_exclusion_check, m_of_group, m_of_order, m_p_of_group)
+                     eta_statistic, m_of_group, m_of_order, m_p_of_group)
 from .localfactors import aut_order, k_of_group, k_of_order, main_term, script_j, script_j_by_levels
 from .matrixcounts import (MatrixCountQuery, count_c_brute, count_c_closed, det_count_closed,
                            euler_density, gl2_order, shape_density)

@@ -295,8 +295,8 @@ def sieving_primes(bound: int) -> tuple[int, ...]:
     return _primes_below_power_of_two(bound.bit_length())
 
 
-def primes_in_ap(lo: int, hi: int, m: int, a: int) -> list[int]:
-    """Primes p with lo < p < hi and p == a (mod m), ascending.
+def primes_in_ap(lo: int, hi: int, m: int) -> list[int]:
+    """Primes p with lo < p < hi and p == 1 (mod m), ascending.
 
     Bounds are strict on both sides; the empty list is a normal result.  For
     hi <= 2^12 the primes are read by bisection from sieving_primes(hi).
@@ -311,17 +311,12 @@ def primes_in_ap(lo: int, hi: int, m: int, a: int) -> list[int]:
     require_int(m, 1, "primes_in_ap: modulus")
     if lo > hi:
         raise ValueError(f"primes_in_ap: lo={lo} exceeds hi={hi}")
-    a %= m
     if hi <= 2**12:
         primes = sieving_primes(hi)
         lo, hi = bisect.bisect_right(primes, lo), bisect.bisect_left(primes, hi)
-        return [p for p in primes[lo:hi] if p % m == a]
+        return [p for p in primes[lo:hi] if p % m == 1 % m]
     lo = max(lo, 1)
-    g = math.gcd(a, m)
-    if g > 1:
-        # every term is a multiple of g, so g itself is the only candidate
-        return [g] if lo < g < hi and g % m == a and is_prime(g) else []
-    start = lo + 1 + (a - (lo + 1)) % m
+    start = lo + 1 + -lo % m  # the first term above lo
     count = len(range(start, hi, m))
     if not count:
         return []
@@ -331,7 +326,7 @@ def primes_in_ap(lo: int, hi: int, m: int, a: int) -> list[int]:
         if q > bound:
             break
         if m % q == 0:
-            continue  # no term is a multiple of q, since gcd(a, m) = 1
+            continue  # no term is a multiple of q, as every term is 1 mod q
         i = -start * pow(m, -1, q) % q  # first term divisible by q
         if start + i * m == q:
             i += q

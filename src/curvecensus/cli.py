@@ -6,18 +6,18 @@ count), verify (dual-route suites).  Each quantity is computed in the
 library module that owns it, and the commands format it.  The verify
 suites compare the two routes here: _check tests exact equality, and
 _suite_local accepts P(l) when its series lies within 2/l^12 of the closed
-form; mn's two routes of M(n) are compared in curves.  Output is CSV or JSON with a fixed column order and floats
-printed to 10 significant digits, so identical invocations are
-byte-identical.  The k_*_truncated cells print the constants K in closed
-form, the twin-prime constant times a finite rational, so no Euler product
-is truncated.  Everything runs on one thread; --threads is accepted,
-validated and echoed in the JSON config for compatibility, and changes
-neither the work nor the output.  Class numbers are memoized in memory for
-the run: verify identity fills the memo from one table of every
-discriminant down to -4 nmax (up to quadforms.TABLE_CAP) before its first
-row, and every other command, and any d past the cap, counts each
-discriminant on first use.  Nothing is cached on disk, and no command loads
-a module outside the standard library.
+form; mn's two routes of M(n) are compared in curves.  Output is CSV or
+JSON with a fixed column order and floats printed to 10 significant
+digits, so identical invocations are byte-identical.  The k_*_truncated
+cells print the constants K in closed form, the twin-prime constant times
+a finite rational, so no Euler product is truncated.  Everything runs on
+one thread; --threads is accepted, validated and echoed in the JSON
+config for compatibility, and changes neither the work nor the output.
+Class numbers are memoized in memory for the run: verify identity fills
+the memo from one table of every discriminant down to -4 nmax (up to
+quadforms.TABLE_CAP) before its first row, and every other command, and
+any d past the cap, counts each discriminant on first use.  Nothing is
+cached on disk, and no command loads a module outside the standard library.
 The import loads only what a command uses: the records are named tuples,
 json is imported only for JSON output, and a CSV row is its cells joined
 by commas, since no cell holds a comma, quote or line break.
@@ -342,8 +342,9 @@ class _Parser(argparse.ArgumentParser):
     """Raises each usage error as a ValueError, which main prints as one line.
 
     argparse sets an unknown option before the subcommand aside and reads the
-    argument after it as the subcommand.  That error names the arguments the
-    global flags leave over instead, up to the one read as the subcommand.
+    argument after it as the subcommand, or, with no argument after it, says
+    the subcommand is missing.  Either error names the arguments the global
+    flags leave over instead, up to the one read as the subcommand, if any.
     """
 
     def parse_known_args(self, args=None, namespace=None):
@@ -351,7 +352,8 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
     def error(self, message):
-        if message.startswith("argument command: invalid choice"):
+        if (message.startswith("argument command: invalid choice")
+                or message == "the following arguments are required: command"):
             rest = self.flags.parse_known_args(self.argv)[1]
             # the first argument that is no option, such as 0 or -3, else the end
             end = [a[:1] == "-" and not a[1:2].isdigit() for a in rest + [""]].index(False)

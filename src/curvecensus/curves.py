@@ -18,7 +18,7 @@ read the d(p) of the window of (1, n) once, for the calls at r = 1 and r = n.
 Each exported function checks its arguments once and then calls private
 kernels that check nothing, and quadforms checks the restriction once per
 window.  A single prime p is the window [p] or [] after one window test,
-so M_p(G) and M_p(N; nt) are window sums over that one-prime window.
+so M_p(G) is a window sum over that one-prime window.
 window_terms and inclusion_exclusion_terms give M_p(G) and its
 inclusion-exclusion at every prime of a window after one check, the
 latter with one window sum per Moebius level, and the routes of M(n)
@@ -49,7 +49,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import (FACTOR_BOUND, euler_phi, mobius, primes_in_ap,
-                    require_int, require_prime, require_shape, require_torsion, square_divisors)
+                    require_int, require_prime, require_shape, square_divisors)
 from .quadforms import CLASS_SCAN_CAP, class_number_twelfths_terms
 
 ORDER_BOUND = 2**40
@@ -145,7 +145,7 @@ def _checked_window(m: int, k: int) -> list[int]:
     require_shape(m, k)
     lo, hi = _window_range(m * m * k, m)
     require_scannable(k)
-    return primes_in_ap(lo, hi, m, 1)
+    return primes_in_ap(lo, hi, m)
 
 
 def m_of_group(m: int, k: int) -> Fraction:
@@ -183,15 +183,7 @@ def window_primes_in_class(n: int, m: int) -> list[int]:
     A fresh sieve each call.  A scan with more candidates than the whole
     window of ORDER_BOUND raises OverflowError before any candidate is tested.
     """
-    return primes_in_ap(*_window_range(n, m), m, 1)
-
-
-def m_p_of_order(n: int, nt: int, p: int) -> Fraction:
-    """Weighted count of curves over F_p with order n and full nt-torsion."""
-    require_torsion(n, nt)
-    require_prime(p)
-    k = n // (nt * nt)
-    return Fraction(sum(_window_twelfths(nt, k, _window_test(nt, k, p), 1)), 12)
+    return primes_in_ap(*_window_range(n, m), m)
 
 
 def order_decomposition(n: int) -> list[tuple[int, int]]:
@@ -254,16 +246,11 @@ def _inclusion_exclusion(m: int, k: int, primes: list[int]) -> list[Fraction]:
     return [Fraction(t, 12) for t in totals.values()]
 
 
-def inclusion_exclusion_check(m: int, k: int, p: int) -> Fraction:
-    """Right side of M_p(G) = sum over r^2 | k of mu(r) M_p(N; rm)."""
-    require_shape(m, k)
-    require_prime(p)
-    return sum(_inclusion_exclusion(m, k, _window_test(m, k, p)), Fraction(0))
-
-
 def inclusion_exclusion_terms(m: int, k: int) -> list[tuple[int, Fraction]]:
-    """The pairs (p, inclusion_exclusion_check(m, k, p)) over the primes of
-    window_terms(m, k), after its checks."""
+    """The pairs (p, sum over r^2 | k of mu(r) M_p(N; rm)) over the primes of
+    window_terms(m, k), after its checks, where M_p(N; t) counts the curves
+    over F_p of order N = m^2 k with full t-torsion: M_p(G) by
+    inclusion-exclusion over the torsion levels."""
     primes = _checked_window(m, k)
     return list(zip(primes, _inclusion_exclusion(m, k, primes)))
 

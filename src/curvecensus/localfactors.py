@@ -23,9 +23,9 @@ main-term analysis rests on.  Each has a closed form, which production
 uses, and an enumeration route from the definition (for script J, the
 counts J_r(v) level by level), the oracle that `verify local` and the
 tests compare it with.  The enumerations and powers are bounded:
-t_of_n refuses a modulus n above T_MODULUS_CAP, t_closed_form an exponent
-w above T_EXPONENT_CAP and j_r_v a level v above J_LEVEL_CAP, each before
-any loop or power.
+t_of_n refuses a modulus n above T_MODULUS_CAP and t_closed_form an
+exponent w above T_EXPONENT_CAP, each before any loop or power, and
+script_j_by_levels counts J_r(v) at the levels v <= 3 only.
 
 Each exported function checks its arguments once, through the arith
 checks, and then calls a private kernel that checks nothing; a sum over
@@ -46,10 +46,8 @@ C2 = 0.66016181584686957
 # prod over all primes l of 1 - 1/((l-1)^2 (l+1)), the constant at N = 1
 A = 0.61513265731817180
 # bounds of the local sums: t_of_n walks n residues, t_closed_form builds ell^(w-1)
-# and j_r_v walks 2^(2v+3) residues
 T_MODULUS_CAP = 2**16
 T_EXPONENT_CAP = 64
-J_LEVEL_CAP = 8
 
 
 def aut_order(m: int, k: int) -> int:
@@ -189,18 +187,9 @@ def p_of_ell_series(ell: int, m: int, k: int) -> Fraction:
 # --- 2-adic counts ----------------------------------------------------------
 
 
-def j_r_v(r: int, v: int, m: int, k: int) -> int:
-    """Count of 1 <= j <= 2^(2v+3) with (j - mk)^2 = 4k + 4^v r mod 2^(2v+3)
-    and jm even."""
-    if type(r) is not int or r not in (0, 1, 4, 5):
-        raise ValueError(f"residue class r must be in {{0, 1, 4, 5}}, got {r}")
-    require_int(v, 0, "level v", J_LEVEL_CAP)
-    require_shape(m, k)
-    return _j_r_v(r, v, m, k)
-
-
 def _j_r_v(r: int, v: int, m: int, k: int) -> int:
-    """The kernel of j_r_v, unchecked."""
+    """|J_r(v)|: the count of 1 <= j <= 2^(2v+3) with (j - mk)^2 = 4k + 4^v r
+    mod 2^(2v+3) and jm even, unchecked; it walks 2^(2v+3) residues."""
     modulus = 2 ** (2 * v + 3)
     target = (4 * k + 4**v * r) % modulus
     count = 0

@@ -1,4 +1,4 @@
-"""Binary quadratic forms: weighted class numbers and L-values.
+"""Binary quadratic forms: weighted class numbers.
 
 A negative discriminant d (d < 0, d = 0 or 1 mod 4) has class number h(d) =
 number of primitive reduced forms (a, b, c) with b^2 - 4ac = d, and unit
@@ -12,11 +12,6 @@ d.  H_k(D) is also computable in a single pass over all reduced forms of
 discriminant D (imprimitive ones included), weighting a form of content f
 by 1/4 when it is f*(x^2 + y^2), by 1/6 when it is f*(x^2 + xy + y^2), and
 by 1/2 otherwise; both routes are exposed and must agree.
-
-L(1, (d/.)) is available two ways: exactly through the class number
-formula, and as a truncated Dirichlet series with a rigorous tail bound.
-No command reads l_value_exact or l_value_series: they are test oracles,
-read only by acceptance criterion 7 and tests/test_quadforms.py.
 
 Class numbers live in one in-process store, the per-discriminant memo
 _cache of 12 H(d).  Each entry counts the reduced forms of d by leading
@@ -35,15 +30,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
-from .arith import kronecker, require_int, sieving_primes, valuation
-
-
-class LSeriesValue(NamedTuple):
-    value: float
-    tail_bound: float
-
+from .arith import require_int, sieving_primes, valuation
 
 # Every route that counts the forms of d refuses any |d| at or above this bound.
 CLASS_SCAN_CAP = 2**26
@@ -258,50 +247,3 @@ def kronecker_class_number_weighted(d: int, k: int) -> Fraction:
         total += Fraction(1, w)
     return total
 
-
-def l_value_exact(d: int) -> float:
-    """L(1, (d/.)) = 2*pi*h / (w*sqrt(|d|)), the class number formula; h/w = H_|d|(d)."""
-    return math.pi * class_number_twelfths(d, -d) / (6.0 * math.sqrt(-d))
-
-
-# Partial-summation constant: tail of sum (d/n)/n beyond X is at most
-# 2*max_t |sum_{n<=t} (d/n)| / X, and Polya-Vinogradov bounds every partial
-# character sum (induced characters included) by sqrt(|d|)*log|d|.
-_PV_CONSTANT = 2.0
-
-
-def _digamma(z: float) -> float:
-    """psi(z) for z > 0: shifted up to z >= 8, then the asymptotic series.
-
-    The series stops at the B_14 term; the first omitted term is below
-    2e-15 at z = 8.
-    """
-    shift = 0.0
-    while z < 8.0:
-        shift += 1.0 / z
-        z += 1.0
-    w = 1.0 / (z * z)
-    series = w * (1 / 12 - w * (1 / 120 - w * (1 / 252 - w * (
-        1 / 240 - w * (1 / 132 - w * (691 / 32760 - w / 12))))))
-    return math.log(z) - 0.5 / z - series - shift
-
-
-def l_value_series(d: int, x: int) -> LSeriesValue:
-    """Partial sum of L(1, (d/.)) up to x, with a rigorous tail bound.
-
-    tail_bound = 2 * sqrt(|d|) * log|d| / x.  The symbol (d/n) is periodic
-    mod q = |d|, so the terms n = r + jq <= x of one residue class r sum to
-    (psi(r/q + J_r) - psi(r/q)) / q, with J_r such terms: one digamma
-    difference per class instead of x terms.
-    """
-    _require_discriminant(d)
-    q = -d
-    require_int(x, q, "series cutoff")
-    total = 0.0
-    for r in range(1, q):
-        chi = kronecker(d, r)
-        if chi:
-            z = r / q
-            total += chi * (_digamma(z + (x - r) // q + 1) - _digamma(z))
-    tail = _PV_CONSTANT * math.sqrt(q) * math.log(q) / x
-    return LSeriesValue(total / q, tail)

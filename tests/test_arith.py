@@ -200,30 +200,28 @@ def test_sieving_primes_cover_the_bound():
 
 
 def test_primes_in_ap_examples():
-    assert arith.primes_in_ap(0, 4, 1, 0) == [2, 3]
-    assert arith.primes_in_ap(1, 9, 2, 1) == [3, 5, 7]
-    assert arith.primes_in_ap(100, 144, 11, 1) == []
+    assert arith.primes_in_ap(0, 4, 1) == [2, 3]
+    assert arith.primes_in_ap(1, 9, 2) == [3, 5, 7]
+    assert arith.primes_in_ap(100, 144, 11) == []
 
 
-def _primes_in_ap_by_scan(lo, hi, m, a):
-    return [p for p in range(max(2, lo + 1), hi) if p % m == a % m and arith.is_prime(p)]
+def _primes_in_ap_by_scan(lo, hi, m):
+    return [p for p in range(max(2, lo + 1), hi) if p % m == 1 % m and arith.is_prime(p)]
 
 
 def test_primes_in_ap_against_scan():
-    cases = [(0, 200, 1, 0), (50, 300, 4, 3), (10, 40, 6, 1),
-             (0, 100, 5, 2), (961, 1100, 7, 0), (13, 13, 3, 1),
-             (1, 3, 2, 0), (0, 10, 3, 3), (-5, 30, 7, 7), (6, 100, 10, 5)]
-    # seeded: residues that share a factor with m, and ranges that hold the
-    # base primes q <= sqrt(hi - 1) themselves
+    cases = [(0, 200, 1), (10, 40, 6), (13, 13, 3)]
+    # seeded, with the draws of a residue a kept where a = 1 (mod m): ranges
+    # that hold the base primes q <= sqrt(hi - 1) themselves
     rng = random.Random(3)
     for _ in range(400):
         hi = rng.randint(0, 10**4)
         lo = rng.choice([rng.randint(-3, 40), rng.randint(-3, hi)])
         m = rng.choice([1, 2, 3, 4, 6, 30, rng.randint(1, 200)])
-        a = rng.randint(-m, 2 * m)
-        cases.append((min(lo, hi), hi, m, a))
-    for lo, hi, m, a in cases:
-        assert arith.primes_in_ap(lo, hi, m, a) == _primes_in_ap_by_scan(lo, hi, m, a), (lo, hi, m, a)
+        if rng.randint(-m, 2 * m) % m == 1 % m:
+            cases.append((min(lo, hi), hi, m))
+    for lo, hi, m in cases:
+        assert arith.primes_in_ap(lo, hi, m) == _primes_in_ap_by_scan(lo, hi, m), (lo, hi, m)
 
 
 def test_primes_in_ap_large_slices():
@@ -231,28 +229,28 @@ def test_primes_in_ap_large_slices():
     # stops short of it and is_prime confirms the survivors; around 10^10 the
     # base primes reach sqrt(hi) = 10^5 and every survivor is prime
     lo, hi = curves.ORDER_BOUND - 20001, curves.ORDER_BOUND
-    cases = [(lo, hi, m, a) for m in (1, 2, 9, 1024) for a in {1 % m, m - 1}]
-    cases += [(10**10 - 10**5, 10**10 + 10**5, m, 1) for m in (1, 2)]
-    for lo, hi, m, a in cases:
-        assert arith.primes_in_ap(lo, hi, m, a) == _primes_in_ap_by_scan(lo, hi, m, a), (lo, m, a)
+    cases = [(lo, hi, m) for m in (1, 2, 9, 1024)]
+    cases += [(10**10 - 10**5, 10**10 + 10**5, m) for m in (1, 2)]
+    for lo, hi, m in cases:
+        assert arith.primes_in_ap(lo, hi, m) == _primes_in_ap_by_scan(lo, hi, m), (lo, m)
 
 
 def test_primes_in_ap_on_both_sides_of_the_bisection_bound(monkeypatch):
     # ranges that end at or below 2^12 are read from the base primes, wider ones sieved
-    cases = [(lo, hi, m, a) for m in range(1, 61) for a in (1, m - 1, 2)
+    cases = [(lo, hi, m) for m in range(1, 61)
              for lo, hi in ((3000, 2**12), (3000, 2**12 + 1), (2**12 - 100, 2**12 + 900),
                             (-1, 2**12), (0, 5000), (4000, 9000))]
-    for lo, hi, m, a in cases:
-        assert arith.primes_in_ap(lo, hi, m, a) == _primes_in_ap_by_scan(lo, hi, m, a), (lo, hi, m, a)
+    for lo, hi, m in cases:
+        assert arith.primes_in_ap(lo, hi, m) == _primes_in_ap_by_scan(lo, hi, m), (lo, hi, m)
     arith.sieving_primes(2**12)
 
     def refuse(*args):
         raise AssertionError("a range below 2^12 was sieved")
 
     monkeypatch.setattr(arith, "bytearray", refuse, raising=False)
-    for lo, hi, m, a in cases:
+    for lo, hi, m in cases:
         if hi <= 2**12:
-            assert arith.primes_in_ap(lo, hi, m, a) == _primes_in_ap_by_scan(lo, hi, m, a)
+            assert arith.primes_in_ap(lo, hi, m) == _primes_in_ap_by_scan(lo, hi, m)
 
 
 def test_primes_in_ap_sieve_proves_its_survivors(monkeypatch):
@@ -264,11 +262,11 @@ def test_primes_in_ap_sieve_proves_its_survivors(monkeypatch):
     r = math.isqrt(4 * 10**6 - 1)
     lo, hi = 10**6 - r, 10**6 + 2 + r  # the Hasse window of 10^6, sqrt(hi - 1) = 1000
     for m in (1, 2, 3, 10, 30):
-        arith.primes_in_ap(lo, hi, m, 1)
+        arith.primes_in_ap(lo, hi, m)
     assert calls == []
-    primes = arith.primes_in_ap(lo, hi, 64, 1)  # 63 terms, fewer than 1000 / 8
+    primes = arith.primes_in_ap(lo, hi, 64)  # 63 terms, fewer than 1000 / 8
     assert calls
-    assert primes == _primes_in_ap_by_scan(lo, hi, 64, 1)
+    assert primes == _primes_in_ap_by_scan(lo, hi, 64)
 
 
 def test_factorize_tests_a_large_cofactor_before_trial_division():
@@ -313,6 +311,6 @@ def test_factorize_splits_composite_cofactors_by_rho():
 
 def test_primes_in_ap_rejects_bad_input():
     with pytest.raises(ValueError):
-        arith.primes_in_ap(10, 5, 1, 0)
+        arith.primes_in_ap(10, 5, 1)
     with pytest.raises(ValueError):
-        arith.primes_in_ap(0, 10, 0, 0)
+        arith.primes_in_ap(0, 10, 0)

@@ -300,7 +300,7 @@ def test_constants_runs_no_two_adic_enumeration(capsys, monkeypatch):
     def refuse(*args):
         raise RuntimeError("constants reached the 2-adic enumeration")
 
-    # the kernel that both j_r_v and the level sums of script_j_by_levels call
+    # the kernel of the level sums of script_j_by_levels
     monkeypatch.setattr(localfactors, "_j_r_v", refuse)
     code, out = run_cli(capsys, ["constants", "--m", "1", "--k", "3"])
     assert code == 0
@@ -359,10 +359,17 @@ def test_unknown_option_before_the_subcommand_is_named(capsys):
     for args, named in [(["--seed", "0", "mg", "--m", "1", "--k", "1"], "--seed 0"),
                         (["--cutoff", "1000", "mg", "--m", "1", "--k", "2"], "--cutoff 1000"),
                         (["--format", "json", "--x", "-3", "mn", "--n", "4"], "--x -3"),
-                        (["mg", "--m", "1", "--k", "1", "--seed", "0"], "--seed 0")]:
+                        (["mg", "--m", "1", "--k", "1", "--seed", "0"], "--seed 0"),
+                        # with nothing after it, argparse would say the subcommand is missing
+                        (["--seed"], "--seed"),
+                        (["--format", "json", "--seed"], "--seed")]:
         assert cli.main(args) == cli.USAGE_ERROR
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: unrecognized arguments: {named}\n", args
+    # with no unknown option, the subcommand is missing
+    for args in ([], ["--format", "json"]):
+        assert cli.main(args) == cli.USAGE_ERROR
+        assert capsys.readouterr().err == "error: the following arguments are required: command\n"
     # an argument that is no option is still the subcommand
     for args in (["bogus"], ["-3", "mg"], ["--format", "json", "0", "mg"]):
         assert cli.main(args) == cli.USAGE_ERROR

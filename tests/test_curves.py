@@ -15,12 +15,10 @@ from curvecensus.curves import (
     delta_statistic,
     eta_statistic,
     in_hasse_window,
-    inclusion_exclusion_check,
     m_of_group,
     m_of_order,
     m_of_order_routes,
     m_p_of_group,
-    m_p_of_order,
     window_primes_in_class,
 )
 
@@ -48,7 +46,7 @@ def test_hasse_window_membership_is_strict():
 def _window_primes_by_filter(n, m):
     # a sieve over a range that covers the window with room to spare, then a window test per prime
     lo, hi = n - 2 * math.isqrt(n) - 1, n + 3 + 2 * math.isqrt(n)
-    return [p for p in primes_in_ap(lo, hi, m, 1) if in_hasse_window(n, p)]
+    return [p for p in primes_in_ap(lo, hi, m) if in_hasse_window(n, p)]
 
 
 def test_window_bounds_hold_exactly_the_window():
@@ -99,14 +97,12 @@ def test_each_window_and_level_makes_one_class_number_call(monkeypatch):
     assert calls_of(m_of_group, 2, 3000) == [3000]
     assert calls_of(curves.window_terms, 2, 3000) == [3000]
     assert calls_of(m_p_of_group, 2, 3000, 11783) == [3000]
-    assert calls_of(m_p_of_order, 36, 2, 37) == [1]
     # the window of (1, n) at r = 1 and at r = n, then one window per other shape
     assert calls_of(m_of_order_routes, 36) == [1, 36, 9, 4, 1]
     # one window per squarefree r with r^2 | k, each at r = 1
     for m, k in [(1, 1), (1, 16), (1, 36), (2, 72), (3, 2000), (1, 2310), (5, 72)]:
         levels = 2 ** sum(k % (q * q) == 0 for q in primes_up_to(math.isqrt(k)))
         assert calls_of(curves.inclusion_exclusion_terms, m, k) == [1] * levels, (m, k)
-        assert calls_of(inclusion_exclusion_check, m, k, 7) == [1] * levels, (m, k)
 
 
 def test_m_p_of_group_examples():
@@ -168,8 +164,7 @@ def test_m_of_group_is_the_sum_of_its_prime_terms():
             assert m_of_group(m, k) == sum(terms, Fraction(0)), (m, k)
             # the window forms give the per-prime values of both sides
             assert curves.window_terms(m, k) == list(zip(primes, terms)), (m, k)
-            assert curves.inclusion_exclusion_terms(m, k) == [
-                (p, inclusion_exclusion_check(m, k, p)) for p in primes], (m, k)
+            assert curves.inclusion_exclusion_terms(m, k) == list(zip(primes, terms)), (m, k)
 
 
 def test_window_scan_bound(monkeypatch):
@@ -232,17 +227,23 @@ def test_order_routes_read_each_window_once(monkeypatch):
     monkeypatch.setattr(curves, "_trace_discriminants",
                         lambda m, k, primes: d_lists.append((m, k)) or real_ds(m, k, primes))
     by_primes, by_shapes = curves.m_of_order_routes(36)
-    assert calls == [(*curves._window_range(36, m), m, 1) for m in (1, 2, 3, 6)]
+    assert calls == [(*curves._window_range(36, m), m) for m in (1, 2, 3, 6)]
     assert d_lists == [(1, 36), (2, 9), (3, 4), (6, 1)]
     assert by_primes == by_shapes
 
 
+def _m_p_of_order(n, nt, p):
+    # M_p(n; nt), the curves over F_p of order n with full nt-torsion: the shapes
+    # Z/m x Z/mk of order n with nt | m
+    return sum((m_p_of_group(m, k, p) for m, k in curves.order_decomposition(n) if m % nt == 0),
+               Fraction(0))
+
+
 def test_m_p_of_order_examples():
-    assert m_p_of_order(4, 1, 3) == Fraction(2, 3)
-    assert m_p_of_order(4, 2, 3) == Fraction(1, 6)
-    assert m_p_of_order(4, 1, 11) == 0
-    with pytest.raises(ValueError):
-        m_p_of_order(4, 3, 5)  # 9 does not divide 4
+    # M_3(4; 1) = M_3(G_{1,4}) + M_3(G_{2,1}) = 1/2 + 1/6
+    assert _m_p_of_order(4, 1, 3) == Fraction(2, 3)
+    assert _m_p_of_order(4, 2, 3) == Fraction(1, 6)
+    assert _m_p_of_order(4, 1, 11) == 0
 
 
 def test_m_of_order_examples():
@@ -260,7 +261,7 @@ def test_m_of_order_routes_agree_small():
 def test_m_of_order_routes_match_the_fraction_sum():
     # both integer-twelfths routes against a sum of per-prime Fractions
     for n in range(1, 401):
-        want = sum((m_p_of_order(n, 1, p) for p in _window_primes_by_filter(n, 1)), Fraction(0))
+        want = sum((_m_p_of_order(n, 1, p) for p in _window_primes_by_filter(n, 1)), Fraction(0))
         assert m_of_order_routes(n) == (want, want), n
 
 
@@ -273,7 +274,7 @@ def test_shape_route_sums_the_window_of_each_shape(monkeypatch):
     for n in (1, 36, 1000, 4900):
         asked.clear()
         m_of_order_routes(n)
-        assert sorted(set(asked)) == [(*curves._window_range(n, m), m, 1)
+        assert sorted(set(asked)) == [(*curves._window_range(n, m), m)
                                       for m, _ in curves.order_decomposition(n)], n
 
 
@@ -290,17 +291,17 @@ def test_window_sums_bound_each_window_once(monkeypatch):
 
 
 def test_inclusion_exclusion_examples():
-    assert inclusion_exclusion_check(1, 4, 3) == Fraction(1, 2)
+    assert dict(curves.inclusion_exclusion_terms(1, 4))[3] == Fraction(1, 2)
     assert m_p_of_group(1, 4, 3) == Fraction(1, 2)
-    assert inclusion_exclusion_check(2, 1, 5) == Fraction(1, 4)
-    assert inclusion_exclusion_check(1, 1, 2) == Fraction(1, 4)
+    assert dict(curves.inclusion_exclusion_terms(2, 1))[5] == Fraction(1, 4)
+    assert dict(curves.inclusion_exclusion_terms(1, 1))[2] == Fraction(1, 4)
 
 
 def test_inclusion_exclusion_matches_group_count():
+    # the (m, k, p) of every window prime p of every shape (m, k) of n <= 2000
     for n in range(1, 2001):
         for m, k in curves.order_decomposition(n):
-            for p in curves.window_primes_in_class(n, m):
-                assert inclusion_exclusion_check(m, k, p) == m_p_of_group(m, k, p), (m, k, p)
+            assert curves.inclusion_exclusion_terms(m, k) == curves.window_terms(m, k), (m, k)
 
 
 def test_lower_bound_from_level_one():

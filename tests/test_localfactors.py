@@ -291,11 +291,9 @@ def test_p_of_ell_series_agrees():
 
 
 def test_j_r_v_examples():
-    assert lf.j_r_v(5, 0, 1, 1) == 4
-    assert lf.j_r_v(1, 0, 1, 1) == 0
-    assert lf.j_r_v(0, 0, 2, 2) == 2
-    with pytest.raises(ValueError):
-        lf.j_r_v(2, 0, 1, 1)
+    assert lf._j_r_v(5, 0, 1, 1) == 4
+    assert lf._j_r_v(1, 0, 1, 1) == 0
+    assert lf._j_r_v(0, 0, 2, 2) == 2
 
 
 def test_script_j_branch_values():

@@ -10,9 +10,8 @@ from curvecensus.quadforms import (
     class_number_twelfths,
     class_number_twelfths_terms,
     kronecker_class_number_weighted,
-    l_value_exact,
-    l_value_series,
 )
+from oracles import l_value_exact, l_value_series
 
 
 def _units(d):
