@@ -18,3 +18,13 @@ def oracle_tallies():
     from curvecensus.arith import primes_up_to
 
     return {p: curves.brute_force_tally(p) for p in primes_up_to(curves.ORACLE_PRIME_CAP)}
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """Start a test from empty memos: a class-number memo of its own, which every reader
+    looks up at call time, and a cleared sieve memo."""
+    from curvecensus import arith, quadforms
+
+    monkeypatch.setattr(quadforms, "_cache", {})
+    arith._primes_below_power_of_two.cache_clear()

@@ -253,22 +253,6 @@ def test_primes_in_ap_on_both_sides_of_the_bisection_bound(monkeypatch):
             assert arith.primes_in_ap(lo, hi, m) == _primes_in_ap_by_scan(lo, hi, m)
 
 
-def test_primes_in_ap_sieve_proves_its_survivors(monkeypatch):
-    # where sqrt(hi - 1) is below 8 times the number of terms, no survivor is left
-    # to Miller-Rabin; a sparser progression hands is_prime its survivors above (B + 1)^2
-    calls = []
-    real = arith.is_prime
-    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
-    r = math.isqrt(4 * 10**6 - 1)
-    lo, hi = 10**6 - r, 10**6 + 2 + r  # the Hasse window of 10^6, sqrt(hi - 1) = 1000
-    for m in (1, 2, 3, 10, 30):
-        arith.primes_in_ap(lo, hi, m)
-    assert calls == []
-    primes = arith.primes_in_ap(lo, hi, 64)  # 63 terms, fewer than 1000 / 8
-    assert calls
-    assert primes == _primes_in_ap_by_scan(lo, hi, 64)
-
-
 def test_factorize_tests_a_large_cofactor_before_trial_division():
     # trial division stops at 2^10, so a prime near 10^12 is proven by one is_prime call
     primes = []

@@ -11,7 +11,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from curvecensus import arith, cli, curves, localfactors, quadforms
+from curvecensus import cli, curves, localfactors, quadforms
 
 
 def run_cli(capsys, args):
@@ -392,35 +392,6 @@ def test_sieve_cap_is_a_usage_error(capsys):
     assert err.startswith("error: prime sieve") and err.count("\n") == 1
 
 
-# Runs each argv through main in a fresh interpreter, so no memo holds primes from an
-# earlier request, and prints the largest bound any module passed to primes_up_to.
-_SIEVE_PROBE = """
-import contextlib, io, sys
-from curvecensus import arith, cli
-real, bounds = arith.primes_up_to, [0]
-def spy(n):
-    bounds.append(n)
-    return real(n)
-for module in list(sys.modules.values()):
-    if module.__name__.startswith("curvecensus") and getattr(module, "primes_up_to", None) is real:
-        module.primes_up_to = spy
-for args in sys.argv[1:]:
-    with contextlib.redirect_stdout(io.StringIO()):
-        if cli.main(args.split()):
-            sys.exit(args)
-print(max(bounds))
-"""
-
-
-def test_no_census_or_orders_request_sieves_far():
-    requests = ["mg --m 1 --k 3000", "grid --mmax 3 --kmax 16",
-                "constants --m 2 --k 300 --n 1200", "mn --n 199000"]
-    proc = subprocess.run([sys.executable, "-c", _SIEVE_PROBE, *requests],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert 0 < int(proc.stdout) <= 2**12
-
-
 def test_class_scan_cap_is_a_usage_error(capsys):
     # window discriminants up to 4*10^14, 4*10^13, 2^41 and 8*10^7: refused before any
     # class number, the first two by the wider window scan bound, which is checked first;
@@ -559,109 +530,27 @@ def test_closed_stdout_is_one_usage_error():
     assert proc.stderr == "error: cannot write stdout: Bad file descriptor\n"
 
 
-def test_verify_identity_makes_no_primality_test(capsys, monkeypatch):
-    # every window below 2^12 is read from the base primes, and factorize proves its
-    # cofactors by trial division, so no Miller-Rabin test runs
-    calls = []
-    real = arith.is_prime
-    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
-    code, _ = run_cli(capsys, ["--format", "json", "verify", "identity", "--nmax", "1200"])
-    assert code == 0
-    assert calls == []
-
-
-def _count_tables_and_form_counts(monkeypatch):
-    """Spy on quadforms: the bounds of the tables built and the d counted one at a time."""
-    tables, counted = [], []
-    build, count = quadforms.tabulate_twelfths, quadforms._reduced_form_count
-    monkeypatch.setattr(quadforms, "tabulate_twelfths", lambda x: tables.append(x) or build(x))
-    monkeypatch.setattr(quadforms, "_reduced_form_count", lambda d: counted.append(d) or count(d))
-    return tables, counted
-
-
-def test_verify_identity_reads_one_table(capsys, monkeypatch):
-    # the identity sweep tabulates every d >= -4 nmax once, before its first row, so no
-    # discriminant is counted on its own, even with a cold memo
-    cached = dict(quadforms._cache)
-    quadforms._cache.clear()
-    try:
-        tables, counted = _count_tables_and_form_counts(monkeypatch)
-        code, _ = run_cli(capsys, ["--format", "json", "verify", "identity", "--nmax", "1200"])
-        assert code == 0
-        assert tables == [4800] and counted == []
-    finally:
-        quadforms._cache.clear()
-        quadforms._cache.update(cached)
-
-
-@pytest.mark.parametrize("args", [["mn", "--n", "190000"], ["mg", "--m", "2", "--k", "2000"],
-                                  ["grid", "--mmax", "3", "--kmax", "16"],
-                                  ["verify", "classnumbers", "--nmax", "200"]])
-def test_single_windows_build_no_table(capsys, monkeypatch, args):
-    # these read single windows, and verify classnumbers checks the per-discriminant count
-    tables, _ = _count_tables_and_form_counts(monkeypatch)
-    code, _ = run_cli(capsys, args)
-    assert code == 0
-    assert tables == []
-
-
-def test_verify_identity_past_the_table_cap(capsys, monkeypatch):
+def test_verify_identity_past_the_table_cap(capsys, monkeypatch, cold_memo):
     # above the cap the sweep counts each discriminant on its own, with the same bytes
     args = ["--format", "json", "verify", "identity", "--nmax", "60"]
-    cached = dict(quadforms._cache)
-    try:
-        quadforms._cache.clear()
-        _, full = run_cli(capsys, args)
-        quadforms._cache.clear()
-        monkeypatch.setattr(quadforms, "TABLE_CAP", 100)
-        _, counted = _count_tables_and_form_counts(monkeypatch)
-        code, capped = run_cli(capsys, args)
-        assert code == 0 and capped == full
-        above = {d for d in quadforms._cache if d < -100}
-        assert above and above <= set(counted)
-        assert all(d < -100 for d in counted)
-    finally:
-        quadforms._cache.clear()
-        quadforms._cache.update(cached)
+    _, full = run_cli(capsys, args)
+    quadforms._cache.clear()
+    monkeypatch.setattr(quadforms, "TABLE_CAP", 100)
+    counted = []
+    count = quadforms._reduced_form_count
+    monkeypatch.setattr(quadforms, "_reduced_form_count", lambda d: counted.append(d) or count(d))
+    code, capped = run_cli(capsys, args)
+    assert code == 0 and capped == full
+    above = {d for d in quadforms._cache if d < -100}
+    assert above and above <= set(counted)
+    assert all(d < -100 for d in counted)
 
 
-def test_verify_classnumbers_makes_no_primality_test(capsys, monkeypatch):
-    # both columns read each window once, from the sieve, through window_terms and
-    # inclusion_exclusion_terms, so no window prime is tested again
-    calls = []
-    real = arith.is_prime
-    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
-    code, _ = run_cli(capsys, ["--format", "json", "verify", "classnumbers", "--nmax", "500"])
-    assert code == 0
-    assert calls == []
-
-
-def test_verify_classnumbers_checks_each_restriction_once_per_window(capsys, monkeypatch):
-    # each window and each Moebius level checks its k once: 2,996 checks are the suite's
-    # 1,498 twelfths rows, one per route, and the other 1,934 one per window or level
-    calls = []
-    real = arith.require_int
-    monkeypatch.setattr(quadforms, "require_int", lambda *args: calls.append(args[2]) or real(*args))
-    code, _ = run_cli(capsys, ["--format", "json", "verify", "classnumbers", "--nmax", "500"])
-    assert code == 0
-    assert calls.count("restriction parameter") <= 4930
-
-
-def test_verify_local_checks_each_argument_once(capsys, monkeypatch):
-    # one check per exported call: t_closed_form, p_of_ell and p_of_ell_series check their
-    # prime, and those three, t_of_n, script_j and script_j_by_levels their shape; the
-    # series and the level sums call the unchecked kernels
-    counts = collections.Counter()
-    for name in ("require_prime", "require_shape"):
-        def counted(*args, _name=name, _real=getattr(arith, name)):
-            counts[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(localfactors, name, counted)
+def test_verify_local_row_kinds(capsys):
     code, out = run_cli(capsys, ["verify", "local"])
     assert code == 0
     rows = collections.Counter(line.split(" ", 1)[0] for line in out.splitlines()[1:])
     assert rows == {"T": 1108, "P": 90, "scriptJ": 64}
-    assert counts == {"require_prime": 1108 + 90 + 90, "require_shape": 2 * (1108 + 90 + 64)}
 
 
 def test_mn_route_disagreement_exits_1(capsys, monkeypatch):

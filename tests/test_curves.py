@@ -485,14 +485,3 @@ def test_oracle_refuses_a_shape_with_m_not_dividing_p_minus_1(monkeypatch, capsy
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
 
-
-def test_oracle_runs_one_group_law_per_isomorphism_class(monkeypatch):
-    # F_p has 2p + 6, 2p + 2, 2p + 4 or 2p classes for p = 1, 5, 7, 11 mod 12
-    calls = []
-    real = curves._group_shape
-    monkeypatch.setattr(curves, "_group_shape", lambda *args: calls.append(1) or real(*args))
-    for p in (5, 7, 11, 13, 127):
-        calls.clear()
-        brute_force_tally(p)
-        assert len(calls) == 2 * p + {1: 6, 5: 2, 7: 4, 11: 0}[p % 12], p
-

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -160,44 +161,58 @@ def test_generic_factor_is_the_twin_prime_factor():
 
 
 # Bernoulli numbers B_2j / (2j)! for j = 1 .. 7
-_BERNOULLI_OVER_FACTORIAL = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
-                             -691 / 1307674368000, 1 / 74724249600)
+_BERNOULLI_OVER_FACTORIAL = (Fraction(1, 12), Fraction(-1, 720), Fraction(1, 30240),
+                             Fraction(-1, 1209600), Fraction(1, 47900160),
+                             Fraction(-691, 1307674368000), Fraction(1, 74724249600))
 
 
-def _log_zeta(s):
-    """log zeta(s) for real s >= 2, by Euler-Maclaurin from N = 10 (error below 1e-16)."""
-    big_n = 10
-    terms = [j ** -s for j in range(1, big_n)]
-    terms += [big_n ** (1 - s) / (s - 1), big_n ** -s / 2]
+def _zeta(s):
+    """zeta(s) for integer s >= 2, by Euler-Maclaurin from N = 200 (error below 1e-38)."""
+    big_n = Decimal(200)
+    total = sum(Decimal(j) ** -s for j in range(1, 200))
+    total += big_n ** (1 - s) / (s - 1) + big_n ** -s / 2
     rising = s  # s (s + 1) ... (s + 2j - 2)
     for j, b in enumerate(_BERNOULLI_OVER_FACTORIAL, start=1):
-        terms.append(b * rising * big_n ** (1 - s - 2 * j))
+        total += Decimal(b.numerator * rising) / b.denominator * big_n ** (1 - s - 2 * j)
         rising *= (s + 2 * j - 1) * (s + 2 * j)
-    return math.log(math.fsum(terms))
+    return total
 
 
 def _prime_zeta_tail(s, small):
     """Sum of p^-s over the primes p above those in `small`, by Moebius inversion:
     sum over j of mu(j)/j log zeta_small(js), zeta_small(s) = zeta(s) prod (1 - p^-s)."""
-    total = []
-    for j in range(1, 12):
-        mu = mobius(j)
-        if mu:
-            log_zeta = math.fsum([_log_zeta(j * s)] + [math.log1p(-p ** -(j * s)) for p in small])
-            total.append(mu * log_zeta / j)
-    return math.fsum(total)
+    total = Decimal(0)
+    for j in range(1, 40 // s + 1):  # log zeta_small(js) is about 1009^-js, 1e-120 at 40
+        if mu := mobius(j):
+            zeta_small = _zeta(j * s) * math.prod(1 - Decimal(p) ** -(j * s) for p in small)
+            total += mu * zeta_small.ln() / j
+    return total
+
+
+def _product_over_primes(factor, coefficient, first):
+    """The product of factor(p) over the primes p >= first, to 35 digits: the primes up to
+    1000 directly, those above through log factor(p) = sum over n >= 2 of coefficient(n)
+    p^-n / n, whose terms shrink at least as fast as (2/1009)^n."""
+    small = primes_up_to(1000)
+    direct = math.prod(factor(p) for p in small if p >= first)
+    log = (Decimal(direct.numerator) / direct.denominator).ln()
+    log += sum(Decimal(coefficient(n)) / n * _prime_zeta_tail(n, small) for n in range(2, 20))
+    return log.exp()
 
 
 def test_constants_recomputed():
-    # C2: log(1 - 1/(p-1)^2) = -sum over n >= 2 of (2^n - 2)/(n p^n); the primes
-    # up to 1000 directly, those above through prime zeta values
-    small = primes_up_to(1000)
-    logs = [math.log1p(-1 / (p - 1) ** 2) for p in small[1:]]
-    logs += [-(2**n - 2) / n * _prime_zeta_tail(n, small) for n in range(2, 9)]
-    assert abs(math.exp(math.fsum(logs)) - lf.C2) <= 1e-13 * lf.C2
-    # A: the direct product up to 10^6, whose tail is below 4e-14
-    logs = [math.log1p(-1 / ((p - 1) ** 2 * (p + 1))) for p in _primes(10**6)]
-    assert abs(math.exp(math.fsum(logs)) - lf.A) <= 1e-13 * lf.A
+    with localcontext(prec=50):
+        # C2: log(1 - 1/(p-1)^2) = log(1 - 2/p) - 2 log(1 - 1/p)
+        c2 = _product_over_primes(lambda p: 1 - Fraction(1, (p - 1) ** 2), lambda n: 2 - 2**n, 3)
+        # A: 1 - 1/((p-1)^2 (p+1)) = (1 - 1/p - 1/p^2) / ((1 - 1/p)^2 (1 + 1/p)), and
+        # 1 - x - x^2 = (1 - phi x)(1 + x/phi) gives the Lucas number round(phi^n), n >= 2
+        a = _product_over_primes(lambda p: 1 - Fraction(1, (p - 1) ** 2 * (p + 1)),
+                                 lambda n: 2 + (-1) ** n - round(((1 + 5**0.5) / 2) ** n), 2)
+    # both to 32 digits, C2 the published twin-prime constant, and each literal is the
+    # double nearest its constant
+    for value, reference, literal in ((c2, "0.66016181584686957392781211001456", lf.C2),
+                                      (a, "0.61513265731817180255072566492919", lf.A)):
+        assert abs(value - Decimal(reference)) < Decimal("1e-32") and float(value) == literal
 
 
 def test_tail_bound_brackets_refinement():

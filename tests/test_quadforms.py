@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from curvecensus import curves, quadforms
@@ -228,77 +228,63 @@ def _twelfths_lists(draw):
     return ds, k, warm
 
 
-@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+# the fixture's memo belongs to this test, so each example empties it
+@settings(derandomize=True, max_examples=150, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_twelfths_lists())
-def test_twelfths_terms_are_the_one_element_calls(case):
+def test_twelfths_terms_are_the_one_element_calls(cold_memo, case):
     ds, k, warm = case
-    cached = dict(quadforms._cache)
     quadforms._cache.clear()
-    try:
-        # memo hits and misses in one list
-        for d in warm:
-            class_number_twelfths(d, 1)
-        terms = class_number_twelfths_terms(ds, k)
-        assert terms == [12 * kronecker_class_number_weighted(d, k) for d in ds], (ds, k)
-        assert terms == [class_number_twelfths(d, k) for d in ds], (ds, k)
-        assert all(type(t) is int for t in terms)
-    finally:
-        quadforms._cache.clear()
-        quadforms._cache.update(cached)
+    # memo hits and misses in one list
+    for d in warm:
+        class_number_twelfths(d, 1)
+    terms = class_number_twelfths_terms(ds, k)
+    assert terms == [12 * kronecker_class_number_weighted(d, k) for d in ds], (ds, k)
+    assert terms == [class_number_twelfths(d, k) for d in ds], (ds, k)
+    assert all(type(t) is int for t in terms)
 
 
-def test_twelfths_terms_check_the_whole_list_first():
-    cached = dict(quadforms._cache)
-    quadforms._cache.clear()
-    try:
-        for ds, k, message in [([-3, -5, -4], 1, "not a negative discriminant"),
-                               ([-3, 4], 1, "not a negative discriminant"),
-                               ([-4, -3], 0, "restriction parameter must be >= 1, got 0"),
-                               ([-3, -quadforms.CLASS_SCAN_CAP, -7], 1, "reaches the cap"),
-                               ([-quadforms.CLASS_SCAN_CAP, -5], 1, "reaches the cap"),
-                               ([], 0, "restriction parameter must be >= 1, got 0")]:
-            with pytest.raises(ValueError, match=message):
-                class_number_twelfths_terms(ds, k)
-            assert quadforms._cache == {}, ds
-        # the first bad d names the error, as class_number_twelfths(d, k) would
-        with pytest.raises(ValueError, match="-5 is not"):
-            class_number_twelfths_terms([-4, -5, -2**30], 1)
-        # memo hits need no check, but a bad d after them is still refused
-        assert class_number_twelfths_terms([-3, -4], 1) == [2, 3]
-        for ds, k, message in [([-3, -4, -5], 1, "-5 is not"), ([-3, -4], 0, "got 0"),
-                               ([-4, -3, -quadforms.CLASS_SCAN_CAP], 2, "reaches the cap")]:
-            with pytest.raises(ValueError, match=message):
-                class_number_twelfths_terms(ds, k)
-        assert set(quadforms._cache) == {-3, -4}
-    finally:
-        quadforms._cache.update(cached)
+def test_twelfths_terms_check_the_whole_list_first(cold_memo):
+    for ds, k, message in [([-3, -5, -4], 1, "not a negative discriminant"),
+                           ([-3, 4], 1, "not a negative discriminant"),
+                           ([-4, -3], 0, "restriction parameter must be >= 1, got 0"),
+                           ([-3, -quadforms.CLASS_SCAN_CAP, -7], 1, "reaches the cap"),
+                           ([-quadforms.CLASS_SCAN_CAP, -5], 1, "reaches the cap"),
+                           ([], 0, "restriction parameter must be >= 1, got 0")]:
+        with pytest.raises(ValueError, match=message):
+            class_number_twelfths_terms(ds, k)
+        assert quadforms._cache == {}, ds
+    # the first bad d names the error, as class_number_twelfths(d, k) would
+    with pytest.raises(ValueError, match="-5 is not"):
+        class_number_twelfths_terms([-4, -5, -2**30], 1)
+    # memo hits need no check, but a bad d after them is still refused
+    assert class_number_twelfths_terms([-3, -4], 1) == [2, 3]
+    for ds, k, message in [([-3, -4, -5], 1, "-5 is not"), ([-3, -4], 0, "got 0"),
+                           ([-4, -3, -quadforms.CLASS_SCAN_CAP], 2, "reaches the cap")]:
+        with pytest.raises(ValueError, match=message):
+            class_number_twelfths_terms(ds, k)
+    assert set(quadforms._cache) == {-3, -4}
 
 
-def test_table_matches_both_routes(monkeypatch):
+def test_table_matches_both_routes(monkeypatch, cold_memo):
     # one walk over the reduced forms against the per-discriminant count and the
     # weighted walk; the d = -3f^2 and -4f^2 entries carry the forms of weight 1/6, 1/4
-    cached = dict(quadforms._cache)
+    ds = [d for d in range(-3, -20001, -1) if d % 4 in (0, 1)]
+    per_d = {d: quadforms._twelfths(d) for d in ds}
     quadforms._cache.clear()
-    try:
-        ds = [d for d in range(-3, -20001, -1) if d % 4 in (0, 1)]
-        per_d = {d: quadforms._twelfths(d) for d in ds}
-        quadforms._cache.clear()
-        quadforms.tabulate_twelfths(20000)
-        assert quadforms._cache == per_d
-        for d in ds[:ds.index(-1000) + 1]:
-            assert quadforms._cache[d] == 12 * kronecker_class_number_weighted(d, 1), d
-        quadforms._cache.clear()
-        quadforms.tabulate_twelfths(3)
-        assert quadforms._cache == {-3: 2}
-        with pytest.raises(ValueError, match="table bound must be >= 1, got 0"):
-            quadforms.tabulate_twelfths(0)
-        # the cap bounds the table before it is built
-        monkeypatch.setattr(quadforms, "TABLE_CAP", 100)
-        quadforms.tabulate_twelfths(10**12)
-        assert quadforms._cache == {d: t for d, t in per_d.items() if d >= -100}
-    finally:
-        quadforms._cache.clear()
-        quadforms._cache.update(cached)
+    quadforms.tabulate_twelfths(20000)
+    assert quadforms._cache == per_d
+    for d in ds[:ds.index(-1000) + 1]:
+        assert quadforms._cache[d] == 12 * kronecker_class_number_weighted(d, 1), d
+    quadforms._cache.clear()
+    quadforms.tabulate_twelfths(3)
+    assert quadforms._cache == {-3: 2}
+    with pytest.raises(ValueError, match="table bound must be >= 1, got 0"):
+        quadforms.tabulate_twelfths(0)
+    # the cap bounds the table before it is built
+    monkeypatch.setattr(quadforms, "TABLE_CAP", 100)
+    quadforms.tabulate_twelfths(10**12)
+    assert quadforms._cache == {d: t for d, t in per_d.items() if d >= -100}
 
 
 def test_twelfths_reject_bad_input():
