@@ -190,9 +190,9 @@ def _prime_zeta_tail(s, small):
 
 
 def _product_over_primes(factor, coefficient, first):
-    """The product of factor(p) over the primes p >= first, to 35 digits: the primes up to
-    1000 directly, those above through log factor(p) = sum over n >= 2 of coefficient(n)
-    p^-n / n, whose terms shrink at least as fast as (2/1009)^n."""
+    """The product of factor(p) over the primes p >= first, at the context's precision:
+    the primes up to 1000 directly, those above through log factor(p) = sum over n >= 2
+    of coefficient(n) p^-n / n, whose terms shrink at least as fast as (2/1009)^n."""
     small = primes_up_to(1000)
     direct = math.prod(factor(p) for p in small if p >= first)
     log = (Decimal(direct.numerator) / direct.denominator).ln()
@@ -201,7 +201,8 @@ def _product_over_primes(factor, coefficient, first):
 
 
 def test_constants_recomputed():
-    with localcontext(prec=50):
+    with localcontext() as ctx:  # localcontext(prec=50) needs Python 3.11
+        ctx.prec = 50
         # C2: log(1 - 1/(p-1)^2) = log(1 - 2/p) - 2 log(1 - 1/p)
         c2 = _product_over_primes(lambda p: 1 - Fraction(1, (p - 1) ** 2), lambda n: 2 - 2**n, 3)
         # A: 1 - 1/((p-1)^2 (p+1)) = (1 - 1/p - 1/p^2) / ((1 - 1/p)^2 (1 + 1/p)), and
